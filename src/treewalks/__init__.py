@@ -6,6 +6,7 @@ triangle and Dyck-path machinery they rest on.  All arithmetic is exact.
 """
 
 from treewalks._kernel import BACKEND as KERNEL_BACKEND
+from treewalks.exact import ExactnessError
 from treewalks.oracle import dp_return_profile, dp_walk_count, weighted_dyck_count
 from treewalks.rlseq import (
     RLSequence,
@@ -24,6 +25,7 @@ from treewalks.triangles import (
     TriangleTable,
     borel_entry_explicit,
     borel_entry_transform,
+    borel_row,
     borel_table,
     catalan_entry,
     catalan_number,
@@ -47,8 +49,10 @@ __all__ = [
     "RLSequence",
     "TriangleTable",
     "DeltaPolynomial",
+    "ExactnessError",
     "borel_entry_explicit",
     "borel_entry_transform",
+    "borel_row",
     "borel_table",
     "catalan_entry",
     "catalan_number",

@@ -74,7 +74,10 @@ def _cmd_walks(args: argparse.Namespace) -> int:
         else [args.method]
     )
     if "gf" in methods and delta < 2:
-        raise ValueError("the gf method requires delta >= 2")
+        if args.method != "all" or delta < 1:
+            raise ValueError("the gf method requires delta >= 2")
+        methods.remove("gf")
+        print("gf skipped (requires delta >= 2)", file=sys.stderr)
     values: dict[str, int] = {}
     for m in methods:
         if m == "gf":
@@ -123,7 +126,13 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_enum_cap(args: argparse.Namespace) -> None:
+    if args.enum_cap < 0:
+        raise ValueError(f"--enum-cap must be >= 0, got {args.enum_cap}")
+
+
 def _cmd_stable(args: argparse.Namespace) -> int:
+    _check_enum_cap(args)
     if args.method == "enumerated":
         table = rlseq.s_table_enumerated(args.n, cap=args.enum_cap)
     elif args.method == "closed":
@@ -140,6 +149,9 @@ def _cmd_stable(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n < 1:  # a bound below 1 leaves the checks nothing to check
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
+    _check_enum_cap(args)
     results = verify.run_all(
         max_n=args.max_n,
         max_delta=args.max_delta,

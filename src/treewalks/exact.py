@@ -1,0 +1,21 @@
+"""Exactness guarantees that hold under ``python -O``.
+
+Every route computes an exact integer.  Where a step relies on an
+identity for that (an exact division, a vanishing coefficient), a
+failure raises ``ExactnessError`` instead of an ``assert``, which the
+interpreter drops when run with ``-O``.
+"""
+
+from __future__ import annotations
+
+
+class ExactnessError(ArithmeticError):
+    """An identity that guarantees an exact integer result did not hold."""
+
+
+def exact_div(numerator: int, divisor: int) -> int:
+    """numerator / divisor, raising ExactnessError unless it is an integer."""
+    q, r = divmod(numerator, divisor)
+    if r:
+        raise ExactnessError(f"non-exact division {numerator}/{divisor}: remainder {r}")
+    return q

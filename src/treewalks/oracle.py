@@ -75,22 +75,20 @@ def dp_return_profile(n: int, delta: int) -> list[int]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check(delta)
-    # state[(d, r)] = walks ending at distance d with r returns so far
-    state: dict[tuple[int, int], int] = {(0, 0): 1}
-    for _ in range(2 * n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (d, r), cnt in state.items():
+    # rows[d][r] = walks ending at distance d with r returns so far.  Only
+    # depths of the step's parity are reached; a depth beyond
+    # min(step, 2n - step) can no longer get back by step 2n.
+    zero = [0] * (n + 1)
+    rows = [[1] + [0] * n]
+    for step in range(1, 2 * n + 1):
+        top = min(step, 2 * n - step)
+        nxt = [zero] * (top + 1)
+        for d in range(step % 2, top + 1, 2):
+            above = rows[d + 1] if d + 1 < len(rows) else zero
             if d == 0:
-                key = (1, r)
-                nxt[key] = nxt.get(key, 0) + delta * cnt
+                nxt[0] = [0] + above[:-1]  # stepping down to the root is a return
             else:
-                up = (d + 1, r)
-                nxt[up] = nxt.get(up, 0) + (delta - 1) * cnt
-                down = (d - 1, r + 1 if d == 1 else r)
-                nxt[down] = nxt.get(down, 0) + cnt
-        state = nxt
-    profile = [0] * n
-    for (d, r), cnt in state.items():
-        if d == 0:
-            profile[r - 1] += cnt
-    return profile
+                w = delta if d == 1 else delta - 1
+                nxt[d] = [w * a + b for a, b in zip(rows[d - 1], above)]
+        rows = nxt
+    return rows[0][1:]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 from treewalks import _kernel
 from treewalks.triangles import catalan_entry, catalan_number
@@ -237,18 +238,20 @@ def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> STable:
 
 
 def s_table_recurrence(n: int) -> STable:
-    """S-table from S(n, k) = sum_{j=k-1}^{n-1} S(n-1, j), base S(0, 0) = 1."""
+    """S-table from S(n, k) = sum_{j=k-1}^{n-1} S(n-1, j), base S(0, 0) = 1.
+
+    Row m is the suffix sums of row m-1 (indexed from j = 0, where only
+    S(0, 0) is non-zero), so the table costs O(n^2) additions.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rows: list[list[int]] = [[1]]
-    table = STable(rows)
     for m in range(1, n + 1):
-        row = [
-            sum(table.s(m - 1, j) for j in range(k - 1, m)) for k in range(1, m + 1)
-        ]
-        rows.append(row)
-        table = STable(rows)
-    return table
+        prev = rows[-1] if m == 1 else [0] + rows[-1]
+        suffix = list(accumulate(reversed(prev)))
+        suffix.reverse()
+        rows.append(suffix)
+    return STable(rows)
 
 
 def s_closed_form(n: int, k: int) -> int:
@@ -270,7 +273,7 @@ def cumulative_s(n: int, k: int, table: STable | None = None) -> int:
         return 1  # the empty sequence, zero components
     if table is None:
         table = s_table_recurrence(n)
-    return sum(table.s(n, j) for j in range(max(k - 1, 1), n + 1))
+    return sum(table.row(n)[max(k - 1, 1) - 1 :])
 
 
 def delete_component_pair(seq: RLSequence | str, i: int) -> RLSequence:

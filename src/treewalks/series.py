@@ -1,14 +1,18 @@
 """Exact truncated power series and the closed-walk generating function.
 
 The generating function for closed-walk counts on an infinite
-delta-regular tree is
+delta-regular tree (Kesten-McKay) is
 
     f(t) = 2(delta - 1) / (delta - 2 + delta * sqrt(1 - 4(delta - 1) t^2))
 
-whose t^(2n) coefficient is W(2n, delta).  Everything here is exact
-rational arithmetic (fractions.Fraction); no floats anywhere, since the
-acceptance check is exact integer equality with the combinatorial
-formulas.
+whose t^(2n) coefficient is W(2n, delta).  The gf route divides the
+denominator by its constant term 2(delta - 1).  What is left has constant
+term 1 and integer coefficients, so f is its reciprocal, found by an
+integer recurrence in O(N^2) big-integer products: no fractions and no
+floats, since the acceptance check is exact integer equality with the
+combinatorial formulas.  ``PowerSeries``, ``sqrt_series`` and
+``reciprocal_series`` are the general exact-rational (fractions.Fraction)
+counterparts; the reciprocal shares the gf route's recurrence loop.
 
 delta = 2 is fine (the denominator's constant term is 2); delta = 1 is
 rejected because the formula degenerates to 0/0.
@@ -17,6 +21,9 @@ rejected because the formula degenerates to 0/0.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
+
+from treewalks.exact import ExactnessError, exact_div
 
 
 class PowerSeries:
@@ -69,11 +76,6 @@ class PowerSeries:
         c = Fraction(c)
         return PowerSeries([c * a for a in self.coeffs])
 
-    def add_constant(self, c) -> "PowerSeries":
-        out = list(self.coeffs)
-        out[0] += Fraction(c)
-        return PowerSeries(out)
-
     @classmethod
     def constant(cls, c, D: int) -> "PowerSeries":
         return cls([Fraction(c)], order=D)
@@ -100,19 +102,53 @@ def sqrt_series(c, D: int) -> "PowerSeries":
     return PowerSeries(out)
 
 
+def _reciprocal(a: list, inv_a0) -> list:
+    """Coefficients r with a * r = 1 to degree len(a) - 1; inv_a0 is 1 / a[0].
+
+    Degree-by-degree solve of sum_{i=0}^{d} a[i] r[d-i] = 0: O(D^2)
+    products.  With integer a and a[0] = 1 (inv_a0 = 1) it stays in the
+    integers.
+    """
+    D = len(a) - 1
+    tail = a[1:]
+    out = [inv_a0] + [0] * D
+    for d in range(1, D + 1):
+        out[d] = -sum(map(mul, tail[:d], out[d - 1 :: -1])) * inv_a0
+    return out
+
+
 def reciprocal_series(s: PowerSeries) -> PowerSeries:
     """Series r with s*r = 1 up to s's truncation order."""
     a0 = s.coeffs[0]
     if a0 == 0:
         raise ZeroDivisionError("reciprocal of a series with zero constant term")
-    D = s.order
-    out = [Fraction(0)] * (D + 1)
-    out[0] = 1 / a0
-    for d in range(1, D + 1):
-        # degree-by-degree solve: sum_{i=0}^{d} s[i] r[d-i] = 0
-        acc = sum(s.coeffs[i] * out[d - i] for i in range(1, d + 1))
-        out[d] = -acc / a0
-    return PowerSeries(out)
+    return PowerSeries(_reciprocal(s.coeffs, 1 / a0))
+
+
+def _normalised_denominator(delta: int, D: int) -> list[int]:
+    """(delta - 2 + delta sqrt(1 - c t^2)) / (2(delta - 1)) to degree D, c = 4(delta - 1).
+
+    The square root's t^(2m) coefficient binom(1/2, m) (-c)^m advances by
+    the ratio (2m - 3) c / (2m).  With c = 4(delta - 1) it equals
+    -2 Catalan(m-1) (delta - 1)^m, an integer divisible by 2(delta - 1),
+    so both divisions are exact; each is checked.
+    """
+    c = 4 * (delta - 1)
+    out = [1] + [0] * D
+    term = 1
+    for m in range(1, D // 2 + 1):
+        term = exact_div(term * (2 * m - 3) * c, 2 * m)
+        out[2 * m] = exact_div(delta * term, 2 * (delta - 1))
+    return out
+
+
+def _gf_coefficients(delta: int, N: int) -> list[int]:
+    """Integer coefficients of the generating function to degree 2N + 1."""
+    if delta < 2:
+        raise ValueError(f"delta must be >= 2 (formula degenerates below), got {delta}")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    return _reciprocal(_normalised_denominator(delta, 2 * N + 1), 1)
 
 
 def gf_series(delta: int, N: int) -> PowerSeries:
@@ -121,28 +157,22 @@ def gf_series(delta: int, N: int) -> PowerSeries:
     The extra odd degree is deliberate so the odd-coefficients-vanish
     check in ``gf_walk_counts`` is meaningful at the top order.
     """
-    if delta < 2:
-        raise ValueError(f"delta must be >= 2 (formula degenerates below), got {delta}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    D = 2 * N + 1
-    root = sqrt_series(4 * (delta - 1), D)
-    denom = root.scale(delta).add_constant(delta - 2)
-    return reciprocal_series(denom).scale(2 * (delta - 1))
+    return PowerSeries(_gf_coefficients(delta, N))
 
 
 def gf_walk_counts(delta: int, N: int) -> list[int]:
-    """[t^(2n)] of the generating function for n = 0..N, as exact integers."""
-    f = gf_series(delta, N)
-    for d in range(1, f.order + 1, 2):
-        assert f[d] == 0, f"odd-degree coefficient t^{d} is {f[d]}, expected 0"
-    counts = []
-    for n_ in range(N + 1):
-        coeff = f[2 * n_]
-        assert coeff.denominator == 1, (
-            f"coefficient of t^{2 * n_} is non-integral: {coeff}"
-        )
-        assert coeff >= 0
-        counts.append(int(coeff))
-    assert counts[0] == 1
+    """[t^(2n)] of the generating function for n = 0..N, as exact integers.
+
+    Every degree up to 2N + 1 is computed, and the odd ones must vanish.
+    """
+    f = _gf_coefficients(delta, N)
+    for d in range(1, len(f), 2):
+        if f[d]:
+            raise ExactnessError(f"odd-degree coefficient t^{d} is {f[d]}, expected 0")
+    counts = f[::2]
+    if counts[0] != 1:
+        raise ExactnessError(f"constant term is {counts[0]}, expected 1")
+    for n_, coeff in enumerate(counts):
+        if coeff < 0:
+            raise ExactnessError(f"coefficient of t^{2 * n_} is negative: {coeff}")
     return counts

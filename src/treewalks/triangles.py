@@ -12,9 +12,11 @@ and is undefined at n = 0).  The correct denominator is n + 1:
 
     B(n, k) = binom(2n+2, n-k) * binom(n+k, n) / (n + 1)
 
-We implement the corrected form and assert exact divisibility; the
+We implement the corrected form and check exact divisibility; the
 transform definition above is kept as an independent second route and
-the two are required to agree everywhere.
+the two are required to agree everywhere.  ``borel_row`` evaluates the
+same transform for a whole row at once; it is what the walk polynomial
+and ``borel_table`` use.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb
+from operator import add
+
+from treewalks.exact import exact_div
 
 
 class TriangleIndexError(ValueError):
@@ -33,35 +38,48 @@ def _check_index(n: int, k: int) -> None:
         raise TriangleIndexError(f"(n={n}, k={k}) outside the triangle 0 <= k <= n")
 
 
-def _exact_div(numerator: int, divisor: int) -> int:
-    q, r = divmod(numerator, divisor)
-    assert r == 0, f"non-exact division {numerator}/{divisor}: remainder {r}"
-    return q
-
-
 def catalan_number(n: int) -> int:
     """n-th Catalan number, binom(2n, n)/(n+1)."""
     if n < 0:
         raise TriangleIndexError(f"n must be >= 0, got {n}")
-    return _exact_div(comb(2 * n, n), n + 1)
+    return exact_div(comb(2 * n, n), n + 1)
 
 
 def catalan_entry(n: int, k: int) -> int:
     """C(n, k) = ((n - k + 1)/(n + 1)) * binom(n + k, n), exactly."""
     _check_index(n, k)
-    return _exact_div((n - k + 1) * comb(n + k, n), n + 1)
+    return exact_div((n - k + 1) * comb(n + k, n), n + 1)
 
 
 def borel_entry_explicit(n: int, k: int) -> int:
     """B(n, k) by the corrected explicit formula (1/(n+1) denominator)."""
     _check_index(n, k)
-    return _exact_div(comb(2 * n + 2, n - k) * comb(n + k, n), n + 1)
+    return exact_div(comb(2 * n + 2, n - k) * comb(n + k, n), n + 1)
 
 
 def borel_entry_transform(n: int, k: int) -> int:
     """B(n, k) by the binomial transform of Catalan's triangle row n."""
     _check_index(n, k)
     return sum(comb(s, k) * catalan_entry(n, s) for s in range(k, n + 1))
+
+
+def borel_row(n: int) -> list[int]:
+    """Row n of Borel's triangle, B(n, k) = sum_s binom(s, k) C(n, s), k = 0..n.
+
+    Catalan's row n is built once, by the exact ratio
+    C(n, s) / C(n, s-1) = (n-s+1)(n+s) / ((n-s+2) s).  The transform is
+    then Horner's rule for sum_s C(n, s) (1+x)^s: each multiplication by
+    (1 + x) is Pascal's rule, which advances binom(s, k) along s by exact
+    additions.  O(n^2) additions in all.
+    """
+    _check_index(n, 0)
+    cat = [1]
+    for s in range(1, n + 1):
+        cat.append(exact_div(cat[-1] * (n - s + 1) * (n + s), (n - s + 2) * s))
+    row: list[int] = []
+    for c in reversed(cat):
+        row = list(map(add, row + [0], [c] + row))  # (1 + x) * row + c
+    return row
 
 
 @dataclass(frozen=True)
@@ -120,12 +138,5 @@ def borel_table(N: int) -> TriangleTable:
     """Rows 0..N of Borel's triangle via the transform route."""
     if N < 0:
         raise TriangleIndexError(f"N must be >= 0, got {N}")
-    cat = catalan_table(N)
-    rows = tuple(
-        tuple(
-            sum(comb(s, k) * cat.entry(n, s) for s in range(k, n + 1))
-            for k in range(n + 1)
-        )
-        for n in range(N + 1)
-    )
+    rows = tuple(tuple(borel_row(n)) for n in range(N + 1))
     return TriangleTable(rows=rows, kind="borel")

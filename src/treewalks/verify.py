@@ -18,6 +18,7 @@ from treewalks.series import gf_walk_counts
 from treewalks.triangles import (
     borel_entry_explicit,
     borel_entry_transform,
+    borel_row,
     borel_table,
     catalan_entry,
     catalan_number,
@@ -126,13 +127,14 @@ def check_bijection(max_n: int) -> CheckResult:
 
 
 def check_borel_consistency(max_n: int = 30) -> CheckResult:
-    """Corrected explicit formula agrees with the transform everywhere."""
+    """Corrected explicit formula agrees with the transform, entry and row."""
     name = "Borel explicit = transform"
     for n in range(max_n + 1):
+        row = borel_row(n)
         for k in range(n + 1):
             a, b = borel_entry_explicit(n, k), borel_entry_transform(n, k)
-            if a != b:
-                return CheckResult(name, False, f"(n={n}, k={k}): {a} != {b}")
+            if not a == b == row[k]:
+                return CheckResult(name, False, f"(n={n}, k={k}): {a} != {b} or row {row[k]}")
     return CheckResult(name, True)
 
 

@@ -20,12 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from treewalks.exact import ExactnessError
 from treewalks.rlseq import cumulative_s, s_table_recurrence
-from treewalks.triangles import (
-    borel_entry_transform,
-    catalan_entry,
-    catalan_number,
-)
+from treewalks.triangles import borel_row, catalan_entry, catalan_number
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -115,10 +112,8 @@ def walks_polynomial(n: int) -> DeltaPolynomial:
     """Walk-count polynomial: coefficient of degree^l is (-1)^(n-l) B(n-1, n-l)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    coeffs = {
-        l: (-1) ** (n - l) * borel_entry_transform(n - 1, n - l)
-        for l in range(1, n + 1)
-    }
+    row = borel_row(n - 1)
+    coeffs = {l: (-1) ** (n - l) * row[n - l] for l in range(1, n + 1)}
     return DeltaPolynomial(coefficients=coeffs)
 
 
@@ -135,7 +130,8 @@ def first_return_count(n: int, delta: int) -> int:
     _check_domain(n, delta)
     c = catalan_number(n - 1)
     # the diagonal identity C(n-1, n-1) = Catalan(n-1) makes this the k=1 term
-    assert c == catalan_entry(n - 1, n - 1)
+    if c != catalan_entry(n - 1, n - 1):
+        raise ExactnessError(f"diagonal identity fails at n={n}: Catalan(n-1)={c}")
     return delta * (delta - 1) ** (n - 1) * c
 
 

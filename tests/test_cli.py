@@ -81,6 +81,15 @@ def test_walks_gf_requires_delta_2(capsys):
     assert code == 2 and "delta" in err
 
 
+def test_walks_all_delta1_skips_gf(capsys):
+    code, out, err = run(capsys, "walks", "--n", "4", "--delta", "1", "--method", "all")
+    assert code == 0
+    assert [line.split() for line in out.splitlines()] == [
+        [m, "1"] for m in ("components", "catalan", "borel", "oracle")
+    ]
+    assert err == "gf skipped (requires delta >= 2)\n"
+
+
 def test_walks_rational_dump(capsys):
     code, _, err = run(
         capsys, "walks", "--n", "2", "--delta", "3", "--method", "gf", "--rational"
@@ -148,6 +157,20 @@ def test_verify_passes(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 7
     assert all(line.rstrip().endswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "--max-n", "0"], "--max-n"),
+        (["verify", "--enum-cap", "-1"], "--enum-cap"),
+        (["stable", "--n", "3", "--enum-cap", "-1"], "--enum-cap"),
+    ],
+)
+def test_bounds_that_check_nothing_exit_2(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert option in err
 
 
 def test_verify_trivial_bounds(capsys):

@@ -1,0 +1,54 @@
+"""Exactness checks raise ExactnessError, also under ``python -O``."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Each case breaks one identity a route relies on and expects the named
+# exception; run in a child interpreter so that -O is really in force.
+SCRIPT = r"""
+import sys
+from treewalks import series, walks
+from treewalks.exact import ExactnessError, exact_div
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except ExactnessError:
+        return True
+    return False
+
+checks = {
+    "optimize flag": sys.flags.optimize >= 1,
+    "exact division": raises(exact_div, 7, 2) and exact_div(-12, 4) == -3,
+}
+real = series._gf_coefficients
+for label, coeffs in (
+    ("gf odd coefficient", [1, 1, 3, 0]),
+    ("gf negative coefficient", [1, 0, -3, 0]),
+    ("gf constant term", [2, 0, 3, 0]),
+):
+    series._gf_coefficients = lambda delta, N, coeffs=coeffs: coeffs
+    checks[label] = raises(series.gf_walk_counts, 3, 1)
+series._gf_coefficients = real
+checks["gf walk counts"] = series.gf_walk_counts(3, 3) == [1, 3, 15, 87]
+walks.catalan_number = lambda m: 0
+checks["diagonal identity"] = raises(walks.first_return_count, 3, 3)
+failed = [label for label, ok in checks.items() if not ok]
+print("failed:", failed if failed else "none")
+"""
+
+
+def test_exactness_checks_hold_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "failed: none"

@@ -152,6 +152,12 @@ def test_three_routes_agree_to_n12():
             assert enum.s(n, k) == rec.s(n, k) == s_closed_form(n, k)
 
 
+def test_s_table_recurrence_matches_closed_form_to_n200():
+    rec = s_table_recurrence(200)
+    for n in range(1, 201):
+        assert rec.row(n) == [s_closed_form(n, k) for k in range(1, n + 1)]
+
+
 def test_row_sums_are_catalan():
     rec = s_table_recurrence(12)
     for n in range(1, 13):

@@ -1,0 +1,47 @@
+"""The five routes to W(2n, delta) agree exactly, at small and large n."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treewalks.oracle import dp_walk_count
+from treewalks.series import gf_walk_counts
+from treewalks.walks import walks_via_borel, walks_via_catalan, walks_via_components
+
+
+def five_routes(n: int, delta: int, gf: list[int] | None) -> dict[str, int]:
+    values = {
+        "components": walks_via_components(n, delta),
+        "catalan": walks_via_catalan(n, delta),
+        "borel": walks_via_borel(n, delta),
+        "oracle": dp_walk_count(n, delta),
+    }
+    if gf is not None:
+        values["gf"] = gf[n]
+    return values
+
+
+def test_five_method_agreement_small():
+    for delta in range(1, 7):
+        gf = gf_walk_counts(delta, 60) if delta >= 2 else None
+        for n in range(1, 61):
+            values = five_routes(n, delta, gf)
+            assert len(set(values.values())) == 1, (n, delta, values)
+
+
+def test_five_method_agreement_large():
+    for delta in (2, 3, 6):
+        gf = gf_walk_counts(delta, 400)
+        for n in (199, 200, 399, 400):
+            values = five_routes(n, delta, gf)
+            assert len(set(values.values())) == 1, (n, delta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 300), delta=st.integers(1, 50))
+def test_each_route_matches_dp(n, delta):
+    gf = gf_walk_counts(delta, n) if delta >= 2 else None
+    expected = dp_walk_count(n, delta)
+    for route, value in five_routes(n, delta, gf).items():
+        assert value == expected, route

@@ -11,6 +11,7 @@ from treewalks.triangles import (
     TriangleIndexError,
     borel_entry_explicit,
     borel_entry_transform,
+    borel_row,
     borel_table,
     catalan_entry,
     catalan_number,
@@ -101,6 +102,15 @@ def test_borel_explicit_equals_transform():
     for n in range(31):
         for k in range(n + 1):
             assert borel_entry_explicit(n, k) == borel_entry_transform(n, k)
+
+
+def test_borel_row_equals_entry_routes():
+    for n in range(41):
+        row = borel_row(n)
+        assert row == [borel_entry_transform(n, k) for k in range(n + 1)]
+        assert row == [borel_entry_explicit(n, k) for k in range(n + 1)]
+    with pytest.raises(TriangleIndexError):
+        borel_row(-1)
 
 
 def test_published_borel_formula_denominator_is_wrong():

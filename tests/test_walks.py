@@ -188,6 +188,13 @@ def test_return_counts_match_dp_profile():
                 assert second_return_count(n, delta) == profile[1]
 
 
+def test_return_profile_matches_k_returns_to_n40():
+    for n in range(1, 41):
+        for delta in (1, 2, 3, 7):
+            profile = dp_return_profile(n, delta)
+            assert profile == [walks_with_k_returns(n, k, delta) for k in range(1, n + 1)]
+
+
 def test_domain_errors():
     for fn in (walks_via_components, walks_via_catalan, walks_via_borel):
         with pytest.raises(ValueError):
