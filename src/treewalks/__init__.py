@@ -5,7 +5,6 @@ triangle, Borel triangle, generating function, distance DP), plus the
 triangle and Dyck-path machinery they rest on.  All arithmetic is exact.
 """
 
-from treewalks._kernel import BACKEND as KERNEL_BACKEND
 from treewalks.exact import ExactnessError
 from treewalks.oracle import dp_return_profile, dp_walk_count, weighted_dyck_count
 from treewalks.rlseq import (
@@ -43,6 +42,10 @@ from treewalks.walks import (
 )
 
 __version__ = "0.1.0"
+
+#: The enumeration kernel in use.  There is one, in pure Python; the name
+#: stays so that callers recording it keep working.
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",

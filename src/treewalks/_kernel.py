@@ -1,18 +1,13 @@
-"""Pure-Python enumeration kernel.
+"""Brute-force enumeration kernel.
 
 Walk shapes (balanced legal RL-sequences / Dyck paths) of semi-length n are
 encoded as integer bitmasks: bit ``p`` set means step ``p`` is an R (away
 from the root), clear means L (toward the root), with step 0 the first
 letter.  Enumeration order is lexicographic over the string form with
 R < L, i.e. depth-first preferring R at every position.
-
-This module is the fallback for the compiled Cython kernel; both expose
-the same two functions and must produce identical output.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 def enumerate_masks(n: int) -> list[int]:

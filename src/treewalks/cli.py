@@ -16,7 +16,7 @@ from treewalks import fixtures as fx
 from treewalks import rlseq, verify
 from treewalks.oracle import dp_walk_count
 from treewalks.series import gf_series, gf_walk_counts, sqrt_series
-from treewalks.triangles import TriangleTable, borel_table, catalan_table
+from treewalks.triangles import TriangleTable, borel_table, catalan_table, format_rows
 from treewalks.walks import (
     walks_polynomial,
     walks_via_borel,
@@ -29,19 +29,12 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
 
-def _render_table(rows: list[list[int]], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([[str(e) for e in row] for row in rows])
-    sep = "," if fmt == "csv" else " "
-    return "\n".join(sep.join(str(e) for e in row) for row in rows)
-
-
 def _cmd_triangle(args: argparse.Namespace) -> int:
     table: TriangleTable = (
         catalan_table(args.rows) if args.kind == "catalan" else borel_table(args.rows)
     )
     rows = [list(r) for r in table.rows]
-    print(_render_table(rows, args.format))
+    print(format_rows(rows, args.format))
     if args.check_fixture:
         fixture = fx.triangle_rows(args.kind, args.fixture_dir)
         depth = min(len(rows), len(fixture))
@@ -144,13 +137,16 @@ def _cmd_stable(args: argparse.Namespace) -> int:
     else:
         table = rlseq.s_table_recurrence(args.n)
     rows = [table.row(0)] + [table.row(m) for m in range(1, args.n + 1)]
-    print(_render_table(rows, args.format))
+    print(format_rows(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n < 1:  # a bound below 1 leaves the checks nothing to check
+    # a bound below 1 leaves the checks nothing to check
+    if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.max_delta < 1:
+        raise ValueError(f"--max-delta must be >= 1, got {args.max_delta}")
     _check_enum_cap(args)
     results = verify.run_all(
         max_n=args.max_n,

@@ -13,7 +13,7 @@ Two routes, independent of every closed form under test:
 from __future__ import annotations
 
 from treewalks import _kernel
-from treewalks.rlseq import ENUM_CAP_DEFAULT, EnumerationCapError
+from treewalks.rlseq import ENUM_CAP_DEFAULT, check_enumeration_cap
 
 
 def _check(delta: int) -> None:
@@ -26,17 +26,20 @@ def dp_walk_count_by_length(length: int, delta: int) -> int:
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     _check(delta)
-    # counts[d] = walks of current length ending at distance d
-    counts = [0] * (length + 2)
-    counts[0] = 1
-    for _ in range(length):
-        nxt = [0] * (length + 2)
-        if counts[0]:
-            nxt[1] += delta * counts[0]
-        for d in range(1, length + 1):
-            if counts[d]:
-                nxt[d + 1] += (delta - 1) * counts[d]
-                nxt[d - 1] += counts[d]
+    # counts[d] = walks of the current length ending at distance d.  Only
+    # depths of the step's parity are reached; a depth beyond
+    # min(step, length - step) can no longer get back by the last step.
+    counts = [1]
+    for step in range(1, length + 1):
+        top = min(step, length - step)
+        nxt = [0] * (top + 1)
+        for d in range(step % 2, top + 1, 2):
+            down = counts[d + 1] if d + 1 < len(counts) else 0
+            if d == 0:
+                nxt[0] = down
+            else:
+                w = delta if d == 1 else delta - 1
+                nxt[d] = w * counts[d - 1] + down
         counts = nxt
     return counts[0]
 
@@ -53,10 +56,7 @@ def weighted_dyck_count(n: int, delta: int, cap: int = ENUM_CAP_DEFAULT) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check(delta)
-    if n > cap:
-        raise EnumerationCapError(
-            f"n={n} exceeds enumeration cap {cap}; raise the cap explicitly"
-        )
+    check_enumeration_cap(n, cap)
     hist = _kernel.component_histogram(n)
     return sum(
         count * delta**k * (delta - 1) ** (n - k)

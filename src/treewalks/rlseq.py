@@ -23,12 +23,11 @@ Internally sequences are bit-encoded (R = set bit); the string form over
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 
 from treewalks import _kernel
-from treewalks.triangles import catalan_entry, catalan_number
+from treewalks.triangles import catalan_entry, catalan_number, format_rows
 
 #: Default semi-length cap for brute-force enumeration (~2.7M paths).
 ENUM_CAP_DEFAULT = 14
@@ -48,6 +47,14 @@ class ComponentIndexError(ValueError):
 
 class EnumerationCapError(ValueError):
     """Requested enumeration exceeds the resource cap."""
+
+
+def check_enumeration_cap(n: int, cap: int) -> None:
+    """Refuse to enumerate semi-length n beyond the cap."""
+    if n > cap:
+        raise EnumerationCapError(
+            f"n={n} exceeds enumeration cap {cap}; raise the cap explicitly"
+        )
 
 
 def _parse(word: str) -> tuple[int, int]:
@@ -172,10 +179,7 @@ def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[RLSequence]
     """All balanced legal sequences of length 2n, lexicographic with R < L."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise EnumerationCapError(
-            f"n={n} exceeds enumeration cap {cap}; raise the cap explicitly"
-        )
+    check_enumeration_cap(n, cap)
     return [RLSequence._from_mask(m, 2 * n) for m in _kernel.enumerate_masks(n)]
 
 
@@ -216,20 +220,17 @@ class STable:
         return self._rows == other._rows
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(e) for e in row) for row in self._rows) + "\n"
+        return format_rows(self._rows, "csv") + "\n"
 
     def to_json(self) -> str:
-        return json.dumps([[str(e) for e in row] for row in self._rows])
+        return format_rows(self._rows, "json")
 
 
 def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> STable:
     """Brute-force S-table over all enumerated sequences up to length 2n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise EnumerationCapError(
-            f"n={n} exceeds enumeration cap {cap}; raise the cap explicitly"
-        )
+    check_enumeration_cap(n, cap)
     rows: list[list[int]] = [[1]]
     for m in range(1, n + 1):
         hist = _kernel.component_histogram(m)

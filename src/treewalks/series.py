@@ -54,12 +54,6 @@ class PowerSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        D = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[d] + other.coeffs[d] for d in range(D + 1)]
-        )
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         D = min(self.order, other.order)
         out = [Fraction(0)] * (D + 1)
@@ -75,10 +69,6 @@ class PowerSeries:
     def scale(self, c) -> "PowerSeries":
         c = Fraction(c)
         return PowerSeries([c * a for a in self.coeffs])
-
-    @classmethod
-    def constant(cls, c, D: int) -> "PowerSeries":
-        return cls([Fraction(c)], order=D)
 
 
 def sqrt_series(c, D: int) -> "PowerSeries":

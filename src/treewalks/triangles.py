@@ -22,7 +22,7 @@ and ``borel_table`` use.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from operator import add
 
@@ -82,6 +82,19 @@ def borel_row(n: int) -> list[int]:
     return row
 
 
+def format_rows(rows, fmt: str) -> str:
+    """Rows of integers as text, without a trailing newline.
+
+    ``fmt`` "json" gives an array of arrays of decimal strings (no
+    precision loss); "csv" gives one comma-separated line per row and
+    "plain" one space-separated line per row.
+    """
+    if fmt == "json":
+        return json.dumps([[str(e) for e in row] for row in rows])
+    sep = "," if fmt == "csv" else " "
+    return "\n".join(sep.join(map(str, row)) for row in rows)
+
+
 @dataclass(frozen=True)
 class TriangleTable:
     """Immutable lower-triangular table of exact counts."""
@@ -108,11 +121,11 @@ class TriangleTable:
 
     def to_csv(self) -> str:
         """One line per row, comma-separated decimal entries."""
-        return "\n".join(",".join(str(e) for e in row) for row in self.rows) + "\n"
+        return format_rows(self.rows, "csv") + "\n"
 
     def to_json(self) -> str:
         """Array of arrays; entries as decimal strings (no precision loss)."""
-        return json.dumps([[str(e) for e in row] for row in self.rows])
+        return format_rows(self.rows, "json")
 
 
 def catalan_table(N: int) -> TriangleTable:

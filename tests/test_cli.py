@@ -165,6 +165,7 @@ def test_verify_passes(capsys):
         (["verify", "--max-n", "0"], "--max-n"),
         (["verify", "--enum-cap", "-1"], "--enum-cap"),
         (["stable", "--n", "3", "--enum-cap", "-1"], "--enum-cap"),
+        (["verify", "--max-delta", "0"], "--max-delta"),
     ],
 )
 def test_bounds_that_check_nothing_exit_2(capsys, argv, option):

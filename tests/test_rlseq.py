@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treewalks import _kernel
 from treewalks.rlseq import (
     AlphabetError,
     EnumerationCapError,
@@ -116,6 +117,18 @@ def test_enumeration_cap():
     assert len(enumerate_sequences(9, cap=9)) == catalan_number(9)
     with pytest.raises(EnumerationCapError):
         s_table_enumerated(9, cap=8)
+
+
+def test_histogram_totals_are_catalan():
+    for n in range(12):
+        assert sum(_kernel.component_histogram(n)) == catalan_number(n)
+
+
+def test_negative_n_rejected():
+    with pytest.raises(ValueError):
+        _kernel.enumerate_masks(-1)
+    with pytest.raises(ValueError):
+        _kernel.component_histogram(-1)
 
 
 def test_s_table_enumerated_small_values():
