@@ -14,8 +14,6 @@ def enumerate_masks(n: int) -> list[int]:
     """All Dyck-path bitmasks of semi-length n, lexicographic with R first."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return [0]
     out: list[int] = []
     length = 2 * n
 
@@ -42,9 +40,6 @@ def component_histogram(n: int) -> list[int]:
     if n < 0:
         raise ValueError("n must be >= 0")
     hist = [0] * (n + 1)
-    if n == 0:
-        hist[0] = 1
-        return hist
 
     def rec(pos: int, r: int, l: int, comps: int) -> None:
         if pos == 2 * n:

@@ -119,16 +119,14 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_enum_cap(args: argparse.Namespace) -> None:
+def _cmd_stable(args: argparse.Namespace) -> int:
     if args.enum_cap < 0:
         raise ValueError(f"--enum-cap must be >= 0, got {args.enum_cap}")
-
-
-def _cmd_stable(args: argparse.Namespace) -> int:
-    _check_enum_cap(args)
     if args.method == "enumerated":
         table = rlseq.s_table_enumerated(args.n, cap=args.enum_cap)
     elif args.method == "closed":
+        if args.n < 0:
+            raise ValueError(f"n must be >= 0, got {args.n}")
         rows = [[1]] + [
             [rlseq.s_closed_form(m, k) for k in range(1, m + 1)]
             for m in range(1, args.n + 1)
@@ -143,11 +141,10 @@ def _cmd_stable(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     # a bound below 1 leaves the checks nothing to check
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
-    if args.max_delta < 1:
-        raise ValueError(f"--max-delta must be >= 1, got {args.max_delta}")
-    _check_enum_cap(args)
+    bounds = {"--max-n": args.max_n, "--max-delta": args.max_delta, "--enum-cap": args.enum_cap}
+    for option, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"{option} must be >= 1, got {value}")
     results = verify.run_all(
         max_n=args.max_n,
         max_delta=args.max_delta,

@@ -17,8 +17,9 @@ k components.  Three routes to it live here:
 
 plus the deletion/insertion pair realizing the bijection itself.
 
-Internally sequences are bit-encoded (R = set bit); the string form over
-{R, L} is the interface representation.
+The string form over {R, L} is the interface representation.  Inside, a
+sequence is a (mask, length) pair in the bit layout of ``treewalks._kernel``
+(R = set bit); only that module and this one read the bits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from treewalks import _kernel
-from treewalks.triangles import catalan_entry, catalan_number, format_rows
+from treewalks.triangles import catalan_entry, format_rows
 
 #: Default semi-length cap for brute-force enumeration (~2.7M paths).
 ENUM_CAP_DEFAULT = 14
@@ -57,30 +58,42 @@ def check_enumeration_cap(n: int, cap: int) -> None:
         )
 
 
-def _parse(word: str) -> tuple[int, int]:
-    """Return (mask, length); validates alphabet only."""
-    mask = 0
+def _scan(word: str) -> int:
+    """Bitmask of a balanced legal word; raises at the first fault the scan meets."""
+    mask = height = 0
     for pos, ch in enumerate(word):
         if ch == "R":
             mask |= 1 << pos
-        elif ch != "L":
-            raise AlphabetError(f"invalid character {ch!r} at position {pos}")
-    return mask, len(word)
-
-
-def is_balanced_legal(word: str) -> bool:
-    """True iff the word is balanced (#R = #L) and legal (Dyck prefix condition)."""
-    height = 0
-    for pos, ch in enumerate(word):
-        if ch == "R":
             height += 1
         elif ch == "L":
             height -= 1
             if height < 0:
-                return False
+                break
         else:
             raise AlphabetError(f"invalid character {ch!r} at position {pos}")
-    return height == 0
+    if height:
+        raise IllegalSequenceError(f"not a balanced legal RL-sequence: {word!r}")
+    return mask
+
+
+def is_balanced_legal(word: str) -> bool:
+    """True iff the word is balanced (#R = #L) and legal (Dyck prefix condition)."""
+    try:
+        _scan(word)
+    except IllegalSequenceError:
+        return False
+    return True
+
+
+def _component_ends(mask: int, length: int) -> list[int]:
+    """Position just after each return to height 0: component c ends at ends[c-1]."""
+    ends = []
+    height = 0
+    for pos in range(length):
+        height += 1 if mask >> pos & 1 else -1
+        if not height:
+            ends.append(pos + 1)
+    return ends
 
 
 class RLSequence:
@@ -89,9 +102,8 @@ class RLSequence:
     __slots__ = ("_mask", "_length")
 
     def __init__(self, word: str):
-        if not is_balanced_legal(word):
-            raise IllegalSequenceError(f"not a balanced legal RL-sequence: {word!r}")
-        self._mask, self._length = _parse(word)
+        self._mask = _scan(word)
+        self._length = len(word)
 
     @classmethod
     def _from_mask(cls, mask: int, length: int) -> "RLSequence":
@@ -124,25 +136,9 @@ class RLSequence:
     def __hash__(self) -> int:
         return hash((self._mask, self._length))
 
-    def component_spans(self) -> list[tuple[int, int]]:
-        """Half-open [start, end) index spans of the components."""
-        spans = []
-        height = 0
-        start = 0
-        for pos in range(self._length):
-            height += 1 if self._mask >> pos & 1 else -1
-            if height == 0:
-                spans.append((start, pos + 1))
-                start = pos + 1
-        return spans
-
     @property
     def component_count(self) -> int:
-        return len(self.component_spans())
-
-    def _slice(self, start: int, end: int) -> "RLSequence":
-        mask = (self._mask >> start) & ((1 << (end - start)) - 1)
-        return RLSequence._from_mask(mask, end - start)
+        return len(_component_ends(self._mask, self._length))
 
 
 @dataclass(frozen=True)
@@ -155,23 +151,22 @@ class ComponentDecomposition:
         return len(self.components)
 
     def concatenation(self) -> RLSequence:
-        return concat(self.components)
-
-
-def concat(parts: "tuple[RLSequence, ...] | list[RLSequence]") -> RLSequence:
-    mask = 0
-    offset = 0
-    for part in parts:
-        mask |= part._mask << offset
-        offset += len(part)
-    return RLSequence._from_mask(mask, offset)
+        mask = offset = 0
+        for part in self.components:
+            mask |= part._mask << offset
+            offset += len(part)
+        return RLSequence._from_mask(mask, offset)
 
 
 def components(seq: RLSequence | str) -> ComponentDecomposition:
     """Split a balanced legal sequence at its returns to height 0."""
     if isinstance(seq, str):
         seq = RLSequence(seq)
-    parts = tuple(seq._slice(a, b) for a, b in seq.component_spans())
+    ends = _component_ends(seq._mask, seq._length)
+    parts = tuple(
+        RLSequence._from_mask(seq._mask >> start & ((1 << (end - start)) - 1), end - start)
+        for start, end in zip([0, *ends], ends)
+    )
     return ComponentDecomposition(components=parts)
 
 
@@ -277,6 +272,14 @@ def cumulative_s(n: int, k: int, table: STable | None = None) -> int:
     return sum(table.row(n)[max(k - 1, 1) - 1 :])
 
 
+def _delete(mask: int, ends: list[int], i: int) -> int:
+    start = ends[i - 2] if i > 1 else 0
+    end = ends[i - 1]
+    low = mask & ((1 << start) - 1)
+    inner = (mask & ((1 << end) - 1)) >> (start + 1) << start
+    return low | inner | (mask >> end) << (end - 2)
+
+
 def delete_component_pair(seq: RLSequence | str, i: int) -> RLSequence:
     """Remove the outer R...L pair of the i-th component (1-based).
 
@@ -285,14 +288,21 @@ def delete_component_pair(seq: RLSequence | str, i: int) -> RLSequence:
     """
     if isinstance(seq, str):
         seq = RLSequence(seq)
-    comps = components(seq).components
-    if not 1 <= i <= len(comps):
+    ends = _component_ends(seq._mask, seq._length)
+    if not 1 <= i <= len(ends):
         raise ComponentIndexError(
-            f"component index {i} out of range 1..{len(comps)}"
+            f"component index {i} out of range 1..{len(ends)}"
         )
-    target = comps[i - 1]
-    inner = target._slice(1, len(target) - 1)
-    return concat(list(comps[: i - 1]) + [inner] + list(comps[i:]))
+    return RLSequence._from_mask(_delete(seq._mask, ends, i), seq._length - 2)
+
+
+def _insert(mask: int, ends: list[int], i: int, k: int) -> int:
+    hi = len(ends) - k + i  # last wrapped component (may be i-1: wrap nothing)
+    start = ends[i - 2] if i > 1 else 0
+    end = ends[hi - 1] if hi else 0
+    low = mask & ((1 << start) - 1)
+    wrapped = (mask & ((1 << end) - 1)) ^ low
+    return low | 1 << start | wrapped << 1 | (mask >> end) << (end + 2)
 
 
 def insert_component_pair(alpha: RLSequence | str, i: int, k: int) -> RLSequence:
@@ -303,14 +313,10 @@ def insert_component_pair(alpha: RLSequence | str, i: int, k: int) -> RLSequence
     """
     if isinstance(alpha, str):
         alpha = RLSequence(alpha)
-    comps = components(alpha).components
-    j = len(comps)
+    ends = _component_ends(alpha._mask, alpha._length)
+    j = len(ends)
     if not (1 <= i <= k and j >= k - 1):
         raise ComponentIndexError(
             f"need 1 <= i <= k and components >= k-1, got (i={i}, k={k}, components={j})"
         )
-    hi = j - k + i  # last wrapped component (may be i-1: wrap nothing)
-    inner = concat(comps[i - 1 : hi])
-    core_mask = (1 << 0) | (inner._mask << 1)  # R, inner, L (L is a clear bit)
-    core = RLSequence._from_mask(core_mask, len(inner) + 2)
-    return concat(list(comps[: i - 1]) + [core] + list(comps[hi:]))
+    return RLSequence._from_mask(_insert(alpha._mask, ends, i, k), alpha._length + 2)

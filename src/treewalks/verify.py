@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 
+from treewalks import _kernel, rlseq
 from treewalks import fixtures as fx
-from treewalks import rlseq
-from treewalks.oracle import dp_return_profile, dp_walk_count, weighted_dyck_count
+from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.series import gf_walk_counts
 from treewalks.triangles import (
     borel_entry_explicit,
@@ -87,42 +87,42 @@ def check_s_table(max_n: int, enum_cap: int) -> CheckResult:
 
 
 def check_bijection(max_n: int) -> CheckResult:
-    """Exhaustive deletion/insertion bijection check with i = 1."""
+    """Exhaustive deletion/insertion bijection check with i = 1, on masks."""
     name = "deletion/insertion bijection"
+    prev = {0: _kernel.enumerate_masks(0)}  # masks of length 2(n-1) by component count
     for n in range(1, max_n + 1):
-        by_comps: dict[int, list[rlseq.RLSequence]] = {}
-        for seq in rlseq.enumerate_sequences(n):
-            by_comps.setdefault(seq.component_count, []).append(seq)
-        prev: dict[int, list[rlseq.RLSequence]] = {}
-        for seq in rlseq.enumerate_sequences(n - 1):
-            prev.setdefault(seq.component_count, []).append(seq)
-        for k, members in by_comps.items():
-            images = [rlseq.delete_component_pair(seq, 1) for seq in members]
-            if len(set(images)) != len(images):
+        length = 2 * n
+        by_comps: dict[int, list[int]] = {}
+        images: dict[int, list[int]] = {}
+        for mask in _kernel.enumerate_masks(n):
+            ends = rlseq._component_ends(mask, length)
+            by_comps.setdefault(len(ends), []).append(mask)
+            images.setdefault(len(ends), []).append(rlseq._delete(mask, ends, 1))
+        for k, image in images.items():
+            if len(set(image)) != len(image):
                 return CheckResult(name, False, f"f_1 not injective on (n={n}, k={k})")
-            target = {s for j, seqs in prev.items() if j >= k - 1 for s in seqs}
-            if set(images) != target:
+            target = {a for j, alphas in prev.items() if j >= k - 1 for a in alphas}
+            if set(image) != target:
                 return CheckResult(
                     name, False, f"f_1 image mismatch on (n={n}, k={k})"
                 )
         # round trips: every valid (alpha, i, k) re-inserts then deletes to alpha
-        for alpha in rlseq.enumerate_sequences(n - 1):
-            j = alpha.component_count
-            for k in range(1, n + 1):
-                if j < k - 1:
-                    continue
-                for i in range(1, k + 1):
-                    if j - k + i > j:
-                        continue
-                    omega = rlseq.insert_component_pair(alpha, i, k)
-                    if omega.component_count != k or len(omega) != len(alpha) + 2:
-                        return CheckResult(
-                            name, False, f"insert postcondition fails at {alpha}, i={i}, k={k}"
-                        )
-                    if rlseq.delete_component_pair(omega, i) != alpha:
-                        return CheckResult(
-                            name, False, f"round trip fails at {alpha}, i={i}, k={k}"
-                        )
+        for j, alphas in prev.items():
+            for alpha in alphas:
+                ends = rlseq._component_ends(alpha, length - 2)
+                for k in range(1, j + 2):
+                    for i in range(1, k + 1):
+                        omega = rlseq._insert(alpha, ends, i, k)
+                        omega_ends = rlseq._component_ends(omega, length)
+                        if len(omega_ends) != k or omega_ends[-1] != length:
+                            fault = "insert postcondition"
+                        elif rlseq._delete(omega, omega_ends, i) != alpha:
+                            fault = "round trip"
+                        else:
+                            continue
+                        word = rlseq.RLSequence._from_mask(alpha, length - 2)
+                        return CheckResult(name, False, f"{fault} fails at {word}, i={i}, k={k}")
+        prev = by_comps
     return CheckResult(name, True)
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treewalks import rlseq, verify
 from treewalks.rlseq import (
     ComponentIndexError,
     RLSequence,
@@ -115,3 +119,48 @@ def test_round_trip_random(data):
     i = data.draw(st.integers(min_value=1, max_value=k))
     omega = insert_component_pair(alpha, i, k)
     assert delete_component_pair(omega, i) == alpha
+
+
+def _words(n):
+    """Balanced legal words of length 2n, by filtering every R/L string."""
+    for letters in product("RL", repeat=2 * n):
+        heights = [0]
+        for ch in letters:
+            heights.append(heights[-1] + (1 if ch == "R" else -1))
+        if min(heights) == 0 == heights[-1]:
+            yield "".join(letters)
+
+
+def _split(word):
+    parts, height, start = [], 0, 0
+    for pos, ch in enumerate(word):
+        height += 1 if ch == "R" else -1
+        if height == 0:
+            parts.append(word[start : pos + 1])
+            start = pos + 1
+    return parts
+
+
+def test_maps_match_string_slicing_reference():
+    # the reference cuts and glues strings; it shares no mask arithmetic
+    for n in range(7):
+        for word in _words(n):
+            parts = _split(word)
+            j = len(parts)
+            for i in range(1, j + 1):
+                cut = parts[: i - 1] + [parts[i - 1][1:-1]] + parts[i:]
+                assert str(delete_component_pair(word, i)) == "".join(cut)
+            for k in range(1, j + 2):
+                for i in range(1, k + 1):
+                    hi = j - k + i
+                    wrapped = "R" + "".join(parts[i - 1 : hi]) + "L"
+                    expected = "".join(parts[: i - 1]) + wrapped + "".join(parts[hi:])
+                    assert str(insert_component_pair(word, i, k)) == expected
+
+
+def test_verify_bijection_check_catches_a_wrong_deletion(monkeypatch):
+    # drops the first two steps instead of the first component's outer R...L
+    monkeypatch.setattr(rlseq, "_delete", lambda mask, ends, i: mask >> 2)
+    result = verify.check_bijection(4)
+    assert not result.passed
+    assert re.search(r"\(n=\d+, k=\d+\)", result.detail)

@@ -166,6 +166,8 @@ def test_verify_passes(capsys):
         (["verify", "--enum-cap", "-1"], "--enum-cap"),
         (["stable", "--n", "3", "--enum-cap", "-1"], "--enum-cap"),
         (["verify", "--max-delta", "0"], "--max-delta"),
+        (["stable", "--n", "-1", "--method", "closed"], "n must be >= 0, got -1"),
+        (["verify", "--enum-cap", "0"], "--enum-cap"),
     ],
 )
 def test_bounds_that_check_nothing_exit_2(capsys, argv, option):

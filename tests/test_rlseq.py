@@ -45,6 +45,18 @@ def test_illegal_sequence_rejected_by_constructor():
         RLSequence("R")
 
 
+@pytest.mark.parametrize(
+    "word,error",
+    [("RRx", AlphabetError), ("LX", IllegalSequenceError), ("RLLx", IllegalSequenceError)],
+)
+def test_first_fault_in_the_word_is_reported(word, error):
+    # one left-to-right scan: a bad letter after an illegal prefix is not reached
+    with pytest.raises(error):
+        RLSequence(word)
+    if error is IllegalSequenceError:
+        assert not is_balanced_legal(word)
+
+
 @given(st.text(alphabet="RL", max_size=24))
 def test_balanced_legal_matches_reference(word):
     # reference: balanced by counting, legal by prefix minima
