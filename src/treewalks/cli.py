@@ -36,7 +36,11 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     rows = [list(r) for r in table.rows]
     print(format_rows(rows, args.format))
     if args.check_fixture:
-        fixture = fx.triangle_rows(args.kind, args.fixture_dir)
+        try:
+            fixture = fx.triangle_rows(args.kind, args.fixture_dir)
+        except (OSError, ValueError) as exc:
+            print(f"fixture unreadable: {exc}", file=sys.stderr)
+            return EXIT_VERIFY
         depth = min(len(rows), len(fixture))
         for n in range(depth):
             if rows[n] != fixture[n]:
@@ -108,7 +112,11 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     else:
         print(poly.render(ascii_only=args.ascii))
     if args.check_fixture:
-        fixture = fx.polynomial_coefficients(args.fixture_dir)
+        try:
+            fixture = fx.polynomial_coefficients(args.fixture_dir)
+        except (OSError, ValueError) as exc:
+            print(f"fixture unreadable: {exc}", file=sys.stderr)
+            return EXIT_VERIFY
         if args.n in fixture and poly.coefficient_list() != fixture[args.n]:
             print(
                 f"fixture mismatch: polynomial n={args.n}: "
@@ -127,15 +135,16 @@ def _cmd_stable(args: argparse.Namespace) -> int:
     elif args.method == "closed":
         if args.n < 0:
             raise ValueError(f"n must be >= 0, got {args.n}")
-        rows = [[1]] + [
-            [rlseq.s_closed_form(m, k) for k in range(1, m + 1)]
+        rows = [(1,)] + [
+            (0, *(rlseq.s_closed_form(m, k) for k in range(1, m + 1)))
             for m in range(1, args.n + 1)
         ]
-        table = rlseq.STable(rows)
+        table = TriangleTable(tuple(rows), kind="s")
     else:
         table = rlseq.s_table_recurrence(args.n)
-    rows = [table.row(0)] + [table.row(m) for m in range(1, args.n + 1)]
-    print(format_rows(rows, args.format))
+    # rows m >= 1 are printed as S(m, 1..m), without the zero S(m, 0)
+    first, *rest = table.rows
+    print(format_rows([first, *(row[1:] for row in rest)], args.format))
     return EXIT_OK
 
 

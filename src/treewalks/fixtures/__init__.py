@@ -9,6 +9,8 @@ walk-polynomial coefficients exponent-descending.
 k_return_multipliers.csv: "n,k,m" lines; m is the shape count multiplying
 delta^k (delta-1)^(n-k) in the per-return breakdown of W(2n).
 
+Each reader raises ValueError unless the file holds exactly that extent,
+so a truncated or empty file cannot pass a check by covering nothing.
 Tests and the CLI can point at an alternate directory (used to exercise
 the corrupted-fixture failure path).
 """
@@ -33,8 +35,13 @@ def fixture_text(name: str, fixture_dir: str | Path | None = None) -> str:
 
 
 def triangle_rows(kind: str, fixture_dir: str | Path | None = None) -> list[list[int]]:
-    text = fixture_text(f"{kind}_triangle.csv", fixture_dir)
-    return [[int(e) for e in line.split(",")] for line in text.splitlines() if line]
+    """Rows 0..7 of the triangle, row n with n + 1 entries."""
+    name = f"{kind}_triangle.csv"
+    text = fixture_text(name, fixture_dir)
+    rows = [[int(e) for e in line.split(",")] for line in text.splitlines() if line]
+    if [len(row) for row in rows] != list(range(1, 9)):
+        raise ValueError(f"{name} does not hold rows 0..7 with n + 1 entries each")
+    return rows
 
 
 def polynomial_coefficients(fixture_dir: str | Path | None = None) -> dict[int, list[int]]:
@@ -46,11 +53,13 @@ def polynomial_coefficients(fixture_dir: str | Path | None = None) -> dict[int, 
             continue
         n, *coeffs = (int(e) for e in line.split(","))
         out[n] = list(coeffs)
+    if {n: len(c) for n, c in out.items()} != {n: n for n in range(1, 7)}:
+        raise ValueError("walk_polynomials.csv does not hold n = 1..6 with n coefficients each")
     return out
 
 
 def k_return_multipliers(fixture_dir: str | Path | None = None) -> dict[tuple[int, int], int]:
-    """(n, k) -> shape-count multiplier from the per-return tables."""
+    """(n, k) -> shape-count multiplier from the per-return tables, 1 <= k <= n <= 6."""
     text = fixture_text("k_return_multipliers.csv", fixture_dir)
     out = {}
     for line in text.splitlines():
@@ -58,4 +67,8 @@ def k_return_multipliers(fixture_dir: str | Path | None = None) -> dict[tuple[in
             continue
         n, k, m = (int(e) for e in line.split(","))
         out[(n, k)] = m
+    if out.keys() != {(n, k) for n in range(1, 7) for k in range(1, n + 1)}:
+        raise ValueError(
+            "k_return_multipliers.csv does not hold every (n, k) with 1 <= k <= n <= 6"
+        )
     return out

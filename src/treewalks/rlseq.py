@@ -17,6 +17,11 @@ k components.  Three routes to it live here:
 
 plus the deletion/insertion pair realizing the bijection itself.
 
+An S-table is a ``TriangleTable`` of kind "s" whose row m is
+S(m, 0..m): (1,), (0, 1), (0, 1, 1), (0, 2, 2, 1), ...  Row 0 is the
+empty sequence, and S(m, 0) = 0 for m >= 1.  This is the layout
+``_kernel.component_histogram(m)`` returns.
+
 The string form over {R, L} is the interface representation.  Inside, a
 sequence is a (mask, length) pair in the bit layout of ``treewalks._kernel``
 (R = set bit); only that module and this one read the bits.
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from treewalks import _kernel
-from treewalks.triangles import catalan_entry, format_rows
+from treewalks.triangles import TriangleTable, catalan_entry
 
 #: Default semi-length cap for brute-force enumeration (~2.7M paths).
 ENUM_CAP_DEFAULT = 14
@@ -116,10 +121,6 @@ class RLSequence:
     def __len__(self) -> int:
         return self._length
 
-    @property
-    def semilength(self) -> int:
-        return self._length // 2
-
     def __str__(self) -> str:
         return "".join(
             "R" if self._mask >> p & 1 else "L" for p in range(self._length)
@@ -178,76 +179,29 @@ def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[RLSequence]
     return [RLSequence._from_mask(m, 2 * n) for m in _kernel.enumerate_masks(n)]
 
 
-class STable:
-    """Counts S(m, k) of sequences of length 2m with k components, m <= n.
-
-    Row 0 is the convention S(0, 0) = 1 (the empty sequence); row m >= 1
-    holds k = 1..m (S(m, 0) = 0 implicitly: a nonempty sequence has at
-    least one component).
-    """
-
-    def __init__(self, rows: list[list[int]]):
-        # rows[0] == [1]; rows[m] for m >= 1 holds S(m, 1..m)
-        self._rows = [list(r) for r in rows]
-
-    @property
-    def size(self) -> int:
-        """Largest m with a stored row."""
-        return len(self._rows) - 1
-
-    def s(self, m: int, k: int) -> int:
-        if m < 0 or m > self.size:
-            raise IndexError(f"row {m} not in table (size {self.size})")
-        if m == 0:
-            return 1 if k == 0 else 0
-        if k < 1 or k > m:
-            return 0
-        return self._rows[m][k - 1]
-
-    def row(self, m: int) -> list[int]:
-        if m == 0:
-            return [1]
-        return list(self._rows[m])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, STable):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def to_csv(self) -> str:
-        return format_rows(self._rows, "csv") + "\n"
-
-    def to_json(self) -> str:
-        return format_rows(self._rows, "json")
-
-
-def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> STable:
+def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> TriangleTable:
     """Brute-force S-table over all enumerated sequences up to length 2n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_enumeration_cap(n, cap)
-    rows: list[list[int]] = [[1]]
-    for m in range(1, n + 1):
-        hist = _kernel.component_histogram(m)
-        rows.append(hist[1:])
-    return STable(rows)
+    rows = tuple(tuple(_kernel.component_histogram(m)) for m in range(n + 1))
+    return TriangleTable(rows, kind="s")
 
 
-def s_table_recurrence(n: int) -> STable:
+def s_table_recurrence(n: int) -> TriangleTable:
     """S-table from S(n, k) = sum_{j=k-1}^{n-1} S(n-1, j), base S(0, 0) = 1.
 
-    Row m is the suffix sums of row m-1 (indexed from j = 0, where only
-    S(0, 0) is non-zero), so the table costs O(n^2) additions.
+    Row m is 0 (no shape of length 2m >= 2 has zero components) followed
+    by the suffix sums of row m-1, so the table costs O(n^2) additions.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rows: list[list[int]] = [[1]]
-    for m in range(1, n + 1):
-        prev = rows[-1] if m == 1 else [0] + rows[-1]
-        suffix = list(accumulate(reversed(prev)))
+    rows = [(1,)]
+    for _ in range(n):
+        suffix = list(accumulate(reversed(rows[-1])))
         suffix.reverse()
-        rows.append(suffix)
-    return STable(rows)
+        rows.append((0, *suffix))
+    return TriangleTable(tuple(rows), kind="s")
 
 
 def s_closed_form(n: int, k: int) -> int:
@@ -257,19 +211,17 @@ def s_closed_form(n: int, k: int) -> int:
     return catalan_entry(n - 1, n - k)
 
 
-def cumulative_s(n: int, k: int, table: STable | None = None) -> int:
+def cumulative_s(n: int, k: int, table: TriangleTable | None = None) -> int:
     """Number of sequences of length 2n with at least k-1 components.
 
-    Equals sum_{j >= k-1} S(n, j); the j = 0 term exists only as
-    S(0, 0) = 1.  Valid for 1 <= k <= n+1 (k = n+1 gives S(n, n) = 1).
+    Equals sum_{j >= k-1} S(n, j), read from an S-table with rows to at
+    least n.  Valid for 1 <= k <= n+1 (k = n+1 gives S(n, n) = 1).
     """
     if n < 0 or not 1 <= k <= n + 1:
         raise IndexError(f"need n >= 0 and 1 <= k <= n+1, got (n={n}, k={k})")
-    if n == 0:
-        return 1  # the empty sequence, zero components
     if table is None:
         table = s_table_recurrence(n)
-    return sum(table.row(n)[max(k - 1, 1) - 1 :])
+    return sum(table.rows[n][k - 1 :])
 
 
 def _delete(mask: int, ends: list[int], i: int) -> int:

@@ -49,11 +49,6 @@ class PowerSeries:
     def __getitem__(self, d: int) -> Fraction:
         return self.coeffs[d]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         D = min(self.order, other.order)
         out = [Fraction(0)] * (D + 1)

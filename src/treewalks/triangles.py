@@ -97,16 +97,25 @@ def format_rows(rows, fmt: str) -> str:
 
 @dataclass(frozen=True)
 class TriangleTable:
-    """Immutable lower-triangular table of exact counts."""
+    """Immutable lower-triangular table of exact counts: row n holds k = 0..n.
+
+    ``kind`` "catalan" and "borel" tables have every entry >= 1.  An "s"
+    table holds the component counts S(n, k): S(0, 0) = 1, and for n >= 1
+    S(n, 0) = 0 (a non-empty walk shape has a component) and S(n, k) >= 1.
+    """
 
     rows: tuple[tuple[int, ...], ...]
-    kind: str  # "catalan" or "borel"
+    kind: str  # "catalan", "borel" or "s"
 
     def __post_init__(self) -> None:
         for n, row in enumerate(self.rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-            if any(e < 1 for e in row):
+            if self.kind == "s" and n:
+                if row[0] != 0:
+                    raise ValueError(f"row {n} has S({n}, 0) = {row[0]}, expected 0")
+                row = row[1:]
+            if min(row) < 1:
                 raise ValueError(f"row {n} has an entry < 1")
 
     def entry(self, n: int, k: int) -> int:

@@ -71,14 +71,14 @@ def check_s_table(max_n: int, enum_cap: int) -> CheckResult:
     rec = rlseq.s_table_recurrence(limit)
     for n in range(1, limit + 1):
         for k in range(1, n + 1):
-            a, b, c = enum.s(n, k), rec.s(n, k), rlseq.s_closed_form(n, k)
+            a, b, c = enum.entry(n, k), rec.entry(n, k), rlseq.s_closed_form(n, k)
             if not (a == b == c):
                 return CheckResult(
                     name,
                     False,
                     f"(n={n}, k={k}): enumerated={a} recurrence={b} closed={c}",
                 )
-        total = sum(rec.s(n, k) for k in range(1, n + 1))
+        total = sum(rec.entry(n, k) for k in range(1, n + 1))
         if total != catalan_number(n):
             return CheckResult(
                 name, False, f"row {n} sums to {total}, not Catalan({n})"

@@ -123,7 +123,7 @@ def test_criterion_4_s_table_triple_equality():
         rec = rlseq.s_table_recurrence(12)
         for n in range(1, 13):
             for k in range(1, n + 1):
-                assert enum.s(n, k) == rec.s(n, k) == rlseq.s_closed_form(n, k)
+                assert enum.entry(n, k) == rec.entry(n, k) == rlseq.s_closed_form(n, k)
 
 
 def test_criterion_5_bijection_suite():

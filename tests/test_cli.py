@@ -134,12 +134,17 @@ def test_stable_output(capsys):
 
 
 def test_stable_methods_agree(capsys):
-    outputs = set()
-    for method in ("recurrence", "enumerated", "closed"):
-        code, out, _ = run(capsys, "stable", "--n", "8", "--method", method, "--format", "csv")
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
+    third_rows = {"csv": "2,2,1", "plain": "2 2 1", "json": ["2", "2", "1"]}
+    for fmt, third_row in third_rows.items():
+        outputs = set()
+        for method in ("recurrence", "enumerated", "closed"):
+            code, out, _ = run(capsys, "stable", "--n", "8", "--method", method, "--format", fmt)
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
+        # rows m >= 1 are printed without the zero S(m, 0)
+        rows = json.loads(out) if fmt == "json" else out.splitlines()
+        assert rows[3] == third_row
 
 
 def test_stable_enum_cap(capsys):
@@ -206,6 +211,47 @@ def test_triangle_corrupted_fixture_exit_1(capsys, corrupt_fixture_dir):
     code, _, err = run(capsys, "triangle", "borel", "--rows", "7",
                        "--check-fixture", "--fixture-dir", str(corrupt_fixture_dir))
     assert code == 1 and "mismatch" in err
+
+
+# each fixture file: its reader, and the command other than verify that reads it
+_FIXTURE_USERS = {
+    "catalan_triangle.csv": (
+        lambda d: fx.triangle_rows("catalan", d),
+        ["triangle", "catalan", "--rows", "3", "--check-fixture"],
+    ),
+    "borel_triangle.csv": (
+        lambda d: fx.triangle_rows("borel", d),
+        ["triangle", "borel", "--rows", "3", "--check-fixture"],
+    ),
+    "walk_polynomials.csv": (fx.polynomial_coefficients, ["poly", "--n", "4", "--check-fixture"]),
+    "k_return_multipliers.csv": (fx.k_return_multipliers, None),
+}
+
+
+@pytest.mark.parametrize("name", fx.FIXTURE_NAMES)
+@pytest.mark.parametrize("damage", ["truncated", "empty", "missing directory"])
+def test_fixture_that_covers_too_little_is_unreadable(capsys, tmp_path, name, damage):
+    fixture_dir = tmp_path / "fixtures"
+    if damage != "missing directory":
+        fixture_dir.mkdir()
+        src = resources.files(fx.__package__)
+        for fname in fx.FIXTURE_NAMES:
+            shutil.copy(str(src / fname), fixture_dir / fname)
+        path = fixture_dir / name
+        kept = path.read_text().splitlines()[:3] if damage == "truncated" else []
+        path.write_text("".join(line + "\n" for line in kept))
+    read, argv = _FIXTURE_USERS[name]
+    with pytest.raises((OSError, ValueError)):
+        read(fixture_dir)
+    code, out, _ = run(capsys, "verify", "--max-n", "2", "--max-delta", "1",
+                       "--enum-cap", "2", "--fixture-dir", str(fixture_dir))
+    assert code == 1
+    (fail_line,) = [l for l in out.splitlines() if "FAIL" in l]
+    assert fail_line.startswith("golden fixtures") and "fixture unreadable" in fail_line
+    if argv is not None:
+        code, out, err = run(capsys, *argv, "--fixture-dir", str(fixture_dir))
+        assert code == 1 and out != ""
+        assert err.startswith("fixture unreadable: ")
 
 
 def test_usage_error_unknown_command():

@@ -145,17 +145,17 @@ def test_negative_n_rejected():
 
 def test_s_table_enumerated_small_values():
     table = s_table_enumerated(3)
-    assert table.s(1, 1) == 1
-    assert table.s(2, 1) == 1 and table.s(2, 2) == 1
-    assert table.row(3) == [2, 2, 1]
+    assert table.entry(1, 1) == 1
+    assert table.entry(2, 1) == 1 and table.entry(2, 2) == 1
+    assert list(table.rows[3][1:]) == [2, 2, 1]
 
 
 def test_s_table_recurrence_values():
     table = s_table_recurrence(4)
-    assert table.s(3, 2) == table.s(2, 1) + table.s(2, 2) == 2
+    assert table.entry(3, 2) == table.entry(2, 1) + table.entry(2, 2) == 2
     for n in range(1, 5):
-        assert table.s(n, n) == 1
-    assert sum(table.row(4)) == 14
+        assert table.entry(n, n) == 1
+    assert sum(table.rows[4][1:]) == 14
 
 
 def test_s_closed_form_values():
@@ -174,19 +174,19 @@ def test_three_routes_agree_to_n12():
     rec = s_table_recurrence(12)
     for n in range(1, 13):
         for k in range(1, n + 1):
-            assert enum.s(n, k) == rec.s(n, k) == s_closed_form(n, k)
+            assert enum.entry(n, k) == rec.entry(n, k) == s_closed_form(n, k)
 
 
 def test_s_table_recurrence_matches_closed_form_to_n200():
     rec = s_table_recurrence(200)
     for n in range(1, 201):
-        assert rec.row(n) == [s_closed_form(n, k) for k in range(1, n + 1)]
+        assert list(rec.rows[n][1:]) == [s_closed_form(n, k) for k in range(1, n + 1)]
 
 
 def test_row_sums_are_catalan():
     rec = s_table_recurrence(12)
     for n in range(1, 13):
-        assert sum(rec.s(n, k) for k in range(1, n + 1)) == catalan_number(n)
+        assert sum(rec.entry(n, k) for k in range(1, n + 1)) == catalan_number(n)
 
 
 def test_cumulative_s():
@@ -209,5 +209,5 @@ def test_stable_serialization_round_trip():
     table = s_table_recurrence(5)
     parsed = json.loads(table.to_json())
     assert parsed[0] == ["1"]
-    assert [int(e) for e in parsed[5]] == table.row(5)
-    assert table.to_csv().splitlines()[3] == "2,2,1"
+    assert [int(e) for e in parsed[5]] == list(table.rows[5])
+    assert table.to_csv().splitlines()[3] == "0,2,2,1"

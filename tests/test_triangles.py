@@ -9,6 +9,7 @@ import pytest
 
 from treewalks.triangles import (
     TriangleIndexError,
+    TriangleTable,
     borel_entry_explicit,
     borel_entry_transform,
     borel_row,
@@ -141,6 +142,21 @@ def test_table_invariants_and_bounds():
         table.entry(7, 0)
     with pytest.raises(TriangleIndexError):
         table.entry(3, 4)
+
+
+@pytest.mark.parametrize(
+    "rows, kind",
+    [
+        (((1,), (1, 1), (1, 2)), "catalan"),  # row 2 too short
+        (((1,), (1, 0)), "catalan"),
+        (((1,), (0, 1)), "borel"),
+        (((1,), (0, 1), (1, 1, 1)), "s"),  # S(2, 0) = 1
+        (((1,), (0, 1), (0, 0, 1)), "s"),  # S(2, 1) = 0
+    ],
+)
+def test_table_check_refuses_bad_tables(rows, kind):
+    with pytest.raises(ValueError):
+        TriangleTable(rows, kind=kind)
 
 
 def test_csv_serialization():
