@@ -19,7 +19,7 @@ from treewalks.rlseq import (
     s_table_enumerated,
     s_table_recurrence,
 )
-from treewalks.series import gf_walk_counts, reciprocal_series, sqrt_series
+from treewalks.series import gf_walk_counts
 from treewalks.triangles import (
     TriangleTable,
     borel_entry_explicit,
@@ -70,12 +70,10 @@ __all__ = [
     "gf_walk_counts",
     "insert_component_pair",
     "is_balanced_legal",
-    "reciprocal_series",
     "s_closed_form",
     "s_table_enumerated",
     "s_table_recurrence",
     "second_return_count",
-    "sqrt_series",
     "walks_polynomial",
     "walks_via_borel",
     "walks_via_catalan",

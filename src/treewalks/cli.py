@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from treewalks import fixtures as fx
 from treewalks import rlseq, verify
 from treewalks.oracle import dp_walk_count
-from treewalks.series import gf_series, gf_walk_counts, sqrt_series
+from treewalks.series import gf_walk_counts, sqrt_coefficients
 from treewalks.triangles import TriangleTable, borel_table, catalan_table, format_rows
 from treewalks.walks import (
     walks_polynomial,
@@ -50,6 +49,12 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_VERIFY
+        if len(rows) > depth:
+            print(
+                f"fixture check: {args.kind} rows 0..{depth - 1} of 0..{len(rows) - 1} "
+                f"checked; the fixture ends at row {depth - 1}",
+                file=sys.stderr,
+            )
     return EXIT_OK
 
 
@@ -78,15 +83,14 @@ def _cmd_walks(args: argparse.Namespace) -> int:
     values: dict[str, int] = {}
     for m in methods:
         if m == "gf":
-            values[m] = gf_walk_counts(delta, n)[n]
+            counts = gf_walk_counts(delta, n)
+            values[m] = counts[n]
         else:
             values[m] = _METHODS[m](n, delta)
     if args.rational and "gf" in methods:
         # debugging view of the exact intermediate series, even degrees only
-        root = sqrt_series(4 * (delta - 1), 2 * n + 1)
-        f = gf_series(delta, n)
-        for label, s in (("sqrt", root), ("f", f)):
-            pretty = ", ".join(str(Fraction(c)) for c in s.coeffs[:: 2])
+        for label, terms in (("sqrt", sqrt_coefficients(delta, n)), ("f", counts)):
+            pretty = ", ".join(map(str, terms))
             print(f"# {label} even coefficients: {pretty}", file=sys.stderr)
     if args.format == "json":
         print(json.dumps({m: str(v) for m, v in values.items()}))
@@ -117,7 +121,14 @@ def _cmd_poly(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"fixture unreadable: {exc}", file=sys.stderr)
             return EXIT_VERIFY
-        if args.n in fixture and poly.coefficient_list() != fixture[args.n]:
+        if args.n not in fixture:
+            print(
+                f"fixture check: polynomial n={args.n} is outside the fixture's "
+                f"n = {min(fixture)}..{max(fixture)}; nothing compared",
+                file=sys.stderr,
+            )
+            return EXIT_VERIFY
+        if poly.coefficient_list() != fixture[args.n]:
             print(
                 f"fixture mismatch: polynomial n={args.n}: "
                 f"computed {poly.coefficient_list()}, fixture {fixture[args.n]}",
@@ -128,9 +139,9 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_stable(args: argparse.Namespace) -> int:
-    if args.enum_cap < 0:
-        raise ValueError(f"--enum-cap must be >= 0, got {args.enum_cap}")
     if args.method == "enumerated":
+        if args.enum_cap < 0:
+            raise ValueError(f"--enum-cap must be >= 0, got {args.enum_cap}")
         table = rlseq.s_table_enumerated(args.n, cap=args.enum_cap)
     elif args.method == "closed":
         if args.n < 0:

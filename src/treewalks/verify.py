@@ -43,10 +43,23 @@ class CheckResult:
 
 
 def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
-    """components = catalan = borel = DP oracle = gf (delta >= 2), exactly."""
+    """components = catalan = borel = DP oracle = gf (delta >= 2), exactly.
+
+    The gf coefficients must also satisfy the generating function's
+    quadratic (1 - delta^2 u) f^2 + (delta - 2) f - (delta - 1) = 0,
+    u = t^2, in every degree up to max_n.
+    """
     name = "five-method agreement"
     for delta in range(1, max_delta + 1):
         gf = gf_walk_counts(delta, max_n) if delta >= 2 else None
+        bad = _gf_quadratic_fault(gf, delta) if gf is not None else None
+        if bad is not None:
+            d, residual = bad
+            return CheckResult(
+                name,
+                False,
+                f"gf quadratic identity fails at (u^{d}, delta={delta}): residual {residual}",
+            )
         for n in range(1, max_n + 1):
             values = {
                 "components": walks_via_components(n, delta),
@@ -61,6 +74,22 @@ def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
                     name, False, f"disagreement at (n={n}, delta={delta}): {values}"
                 )
     return CheckResult(name, True)
+
+
+def _gf_quadratic_fault(f: list[int], delta: int) -> tuple[int, int] | None:
+    """First (degree, residual) where f breaks the quadratic, or None.
+
+    The quadratic has one power-series root with f(0) = 1, so its
+    coefficients up to degree N pin f down to degree N.
+    """
+    square = [sum(f[i] * f[d - i] for i in range(d + 1)) for d in range(len(f))]
+    for d in range(len(f)):
+        # [u^d] of the left-hand side; only degree 0 has a constant term
+        lower = delta * delta * square[d - 1] if d else delta - 1
+        residual = square[d] + (delta - 2) * f[d] - lower
+        if residual:
+            return d, residual
+    return None
 
 
 def check_s_table(max_n: int, enum_cap: int) -> CheckResult:

@@ -40,6 +40,12 @@ def test_triangle_fixture_check_passes(capsys):
     for kind in ("catalan", "borel"):
         code, _, err = run(capsys, "triangle", kind, "--rows", "7", "--check-fixture")
         assert code == 0 and err == ""
+        # rows past the fixture are printed, and the check says where it stopped
+        code, out, err = run(capsys, "triangle", kind, "--rows", "9", "--check-fixture")
+        assert code == 0 and len(out.splitlines()) == 10
+        assert err == (
+            f"fixture check: {kind} rows 0..7 of 0..9 checked; the fixture ends at row 7\n"
+        )
 
 
 def test_triangle_json_round_trips(capsys):
@@ -95,7 +101,7 @@ def test_walks_rational_dump(capsys):
         capsys, "walks", "--n", "2", "--delta", "3", "--method", "gf", "--rational"
     )
     assert code == 0
-    assert "sqrt even coefficients" in err and "f even coefficients" in err
+    assert err == "# sqrt even coefficients: 1, -4, -8\n# f even coefficients: 1, 3, 15\n"
 
 
 def test_walks_usage_error_exit_2(capsys):
@@ -120,6 +126,14 @@ def test_poly_fixture_check(capsys):
     for n in range(1, 7):
         code, _, err = run(capsys, "poly", "--n", str(n), "--check-fixture")
         assert code == 0 and err == ""
+    # a polynomial the fixture does not hold was compared with nothing
+    for n in (7, 9):
+        code, out, err = run(capsys, "poly", "--n", str(n), "--check-fixture")
+        assert code == 1 and out != ""
+        assert err == (
+            f"fixture check: polynomial n={n} is outside the fixture's n = 1..6; "
+            "nothing compared\n"
+        )
 
 
 def test_poly_json(capsys):
@@ -152,6 +166,11 @@ def test_stable_enum_cap(capsys):
         capsys, "stable", "--n", "9", "--method", "enumerated", "--enum-cap", "8"
     )
     assert code == 2 and "cap" in err
+    # the methods that do not enumerate ignore the cap, whatever its value
+    for method in ("recurrence", "closed"):
+        code, out, err = run(capsys, "stable", "--n", "9", "--method", method, "--enum-cap", "-1")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "stable", "--n", "9", "--method", method)[1]
 
 
 def test_verify_passes(capsys):
@@ -169,7 +188,7 @@ def test_verify_passes(capsys):
     [
         (["verify", "--max-n", "0"], "--max-n"),
         (["verify", "--enum-cap", "-1"], "--enum-cap"),
-        (["stable", "--n", "3", "--enum-cap", "-1"], "--enum-cap"),
+        (["stable", "--n", "3", "--method", "enumerated", "--enum-cap", "-1"], "--enum-cap"),
         (["verify", "--max-delta", "0"], "--max-delta"),
         (["stable", "--n", "-1", "--method", "closed"], "n must be >= 0, got -1"),
         (["verify", "--enum-cap", "0"], "--enum-cap"),

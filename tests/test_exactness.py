@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # exception; run in a child interpreter so that -O is really in force.
 SCRIPT = r"""
 import sys
-from treewalks import series, walks
+from treewalks import series, verify, walks
 from treewalks.exact import ExactnessError, exact_div
 
 def raises(fn, *args):
@@ -27,16 +27,22 @@ checks = {
     "optimize flag": sys.flags.optimize >= 1,
     "exact division": raises(exact_div, 7, 2) and exact_div(-12, 4) == -3,
 }
-real = series._gf_coefficients
-for label, coeffs in (
-    ("gf odd coefficient", [1, 1, 3, 0]),
-    ("gf negative coefficient", [1, 0, -3, 0]),
-    ("gf constant term", [2, 0, 3, 0]),
+real = series.sqrt_coefficients
+# at delta = 3: W(0) = (3 s0 - 1) / 2 and W(2n) = 9 W(2n - 2) + 3 s_n / 2
+for label, terms in (
+    ("gf exact division", [1, -3]),
+    ("gf negative coefficient", [1, -8]),
+    ("gf constant term", [3, -4]),
 ):
-    series._gf_coefficients = lambda delta, N, coeffs=coeffs: coeffs
+    series.sqrt_coefficients = lambda delta, N, terms=terms: terms
     checks[label] = raises(series.gf_walk_counts, 3, 1)
-series._gf_coefficients = real
+series.sqrt_coefficients = real
 checks["gf walk counts"] = series.gf_walk_counts(3, 3) == [1, 3, 15, 87]
+real = verify.gf_walk_counts
+verify.gf_walk_counts = lambda delta, N: [1, 2, 7] + [0] * (N - 2)  # W(4, 2) = 6
+result = verify.check_method_agreement(3, 3)
+checks["gf quadratic identity"] = not result.passed and "u^2, delta=2" in result.detail
+verify.gf_walk_counts = real
 walks.catalan_number = lambda m: 0
 checks["diagonal identity"] = raises(walks.first_return_count, 3, 3)
 failed = [label for label, ok in checks.items() if not ok]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treewalks import _kernel
+from treewalks import _kernel, rlseq, verify
 from treewalks.rlseq import (
     AlphabetError,
     EnumerationCapError,
@@ -20,7 +20,7 @@ from treewalks.rlseq import (
     s_table_enumerated,
     s_table_recurrence,
 )
-from treewalks.triangles import catalan_entry, catalan_number
+from treewalks.triangles import TriangleTable, catalan_entry, catalan_number
 
 
 def test_is_balanced_legal_basics():
@@ -211,3 +211,16 @@ def test_stable_serialization_round_trip():
     assert parsed[0] == ["1"]
     assert [int(e) for e in parsed[5]] == list(table.rows[5])
     assert table.to_csv().splitlines()[3] == "0,2,2,1"
+
+
+def test_verify_s_table_check_catches_a_wrong_recurrence_entry(monkeypatch):
+    def one_wrong_entry(n):
+        rows = [list(row) for row in s_table_recurrence(n).rows]
+        rows[4][2] += 1
+        return TriangleTable(tuple(map(tuple, rows)), kind="s")
+
+    monkeypatch.setattr(rlseq, "s_table_recurrence", one_wrong_entry)
+    result = verify.check_s_table(6, 6)
+    assert not result.passed
+    assert result.detail.startswith("(n=4, k=2): ")
+    assert "recurrence=6" in result.detail

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treewalks import verify
 from treewalks.oracle import dp_walk_count
 from treewalks.series import gf_walk_counts
 from treewalks.walks import walks_via_borel, walks_via_catalan, walks_via_components
@@ -45,3 +46,16 @@ def test_each_route_matches_dp(n, delta):
     expected = dp_walk_count(n, delta)
     for route, value in five_routes(n, delta, gf).items():
         assert value == expected, route
+
+
+def test_verify_gf_quadratic_check_catches_a_wrong_coefficient(monkeypatch):
+    def wrong_at_u5(delta, N):
+        counts = gf_walk_counts(delta, N)
+        if delta == 3:
+            counts[5] += 1
+        return counts
+
+    monkeypatch.setattr(verify, "gf_walk_counts", wrong_at_u5)
+    result = verify.check_method_agreement(8, 4)
+    assert not result.passed
+    assert "gf quadratic identity fails at (u^5, delta=3)" in result.detail
