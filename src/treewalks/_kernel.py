@@ -5,29 +5,62 @@ encoded as integer bitmasks: bit ``p`` set means step ``p`` is an R (away
 from the root), clear means L (toward the root), with step 0 the first
 letter.  Enumeration order is lexicographic over the string form with
 R < L, i.e. depth-first preferring R at every position.
+
+Every path is one head (steps 0..n-1, from the root to some height h)
+followed by one tail (steps n..2n-1, from h back to the root), and every
+such pair is a path.  One recursion builds both halves: all heads, then,
+once per height a head reaches, all tails from that height.  A path is
+``head | tail`` and its returns are the head's followed by the tail's.
+Heads come out in lexicographic order and so do the tails of each height;
+as the head fills the first n letters, taking heads in order and, for
+each, its tails in order gives the lexicographic order of whole paths.
+
+Cost: the halves are Dyck prefixes of length n, at most C(n, n/2) of
+them, built once; each of the Catalan(n) paths then costs one OR and one
+join of two short return lists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 
-def enumerate_masks(n: int) -> list[int]:
-    """All Dyck-path bitmasks of semi-length n, lexicographic with R first."""
+
+def _halves(n: int, start: int, stop: int, height: int) -> list[tuple[int, list[int], int]]:
+    """Steps start..stop-1 from ``height``, R first: (bits, return positions, end height).
+
+    An R is taken only while the walk can still get back to the root by
+    step 2n, so a run that stops at 2n ends at the root.
+    """
+    out = []
+
+    def rec(bits: int, pos: int, h: int, ends: list[int]) -> None:
+        if pos == stop:
+            out.append((bits, ends, h))
+            return
+        if h + 1 < 2 * n - pos:
+            rec(bits | 1 << pos, pos + 1, h + 1, ends)
+        if h:
+            # an L landing at height 0 closes a component
+            rec(bits, pos + 1, h - 1, ends + [pos + 1] if h == 1 else ends)
+
+    rec(0, start, height, [])
+    return out
+
+
+def dyck_paths(n: int) -> Iterator[tuple[int, list[int]]]:
+    """Every Dyck path of semi-length n as (mask, ends), lexicographic with R first.
+
+    ``ends`` holds the position just after each return to height 0, as
+    ``rlseq._component_ends`` gives it; its length is the component count.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    out: list[int] = []
-    length = 2 * n
-
-    def rec(mask: int, pos: int, r: int, l: int) -> None:
-        if pos == length:
-            out.append(mask)
-            return
-        if r < n:
-            rec(mask | (1 << pos), pos + 1, r + 1, l)
-        if l < r:
-            rec(mask, pos + 1, r, l + 1)
-
-    rec(0, 0, 0, 0)
-    return out
+    tails: dict[int, list[tuple[int, list[int], int]]] = {}
+    for head, head_ends, height in _halves(n, 0, n, 0):
+        if height not in tails:
+            tails[height] = _halves(n, n, 2 * n, height)
+        for tail, tail_ends, _ in tails[height]:
+            yield head | tail, head_ends + tail_ends
 
 
 def component_histogram(n: int) -> list[int]:
@@ -37,19 +70,7 @@ def component_histogram(n: int) -> list[int]:
     of paths with exactly k components; ``hist[0]`` is 1 only for n = 0
     (the empty path).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     hist = [0] * (n + 1)
-
-    def rec(pos: int, r: int, l: int, comps: int) -> None:
-        if pos == 2 * n:
-            hist[comps] += 1
-            return
-        if r < n:
-            rec(pos + 1, r + 1, l, comps)
-        if l < r:
-            # an L landing at height 0 closes a component
-            rec(pos + 1, r, l + 1, comps + (1 if l + 1 == r else 0))
-
-    rec(0, 0, 0, 0)
+    for _, ends in dyck_paths(n):
+        hist[len(ends)] += 1
     return hist

@@ -29,6 +29,7 @@ sequence is a (mask, length) pair in the bit layout of ``treewalks._kernel``
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -176,7 +177,7 @@ def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[RLSequence]
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_enumeration_cap(n, cap)
-    return [RLSequence._from_mask(m, 2 * n) for m in _kernel.enumerate_masks(n)]
+    return [RLSequence._from_mask(m, 2 * n) for m, _ in _kernel.dyck_paths(n)]
 
 
 def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> TriangleTable:
@@ -188,20 +189,27 @@ def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> TriangleTable:
     return TriangleTable(rows, kind="s")
 
 
-def s_table_recurrence(n: int) -> TriangleTable:
-    """S-table from S(n, k) = sum_{j=k-1}^{n-1} S(n-1, j), base S(0, 0) = 1.
+def _s_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Rows S(m, 0..m) for m = 0..n, from S(m, k) = sum_{j=k-1}^{m-1} S(m-1, j).
 
     Row m is 0 (no shape of length 2m >= 2 has zero components) followed
-    by the suffix sums of row m-1, so the table costs O(n^2) additions.
+    by the suffix sums of row m-1, so each row costs O(m) additions and
+    only the last one is held.
     """
+    row: tuple[int, ...] = (1,)
+    yield row
+    for _ in range(n):
+        suffix = list(accumulate(reversed(row)))
+        suffix.reverse()
+        row = (0, *suffix)
+        yield row
+
+
+def s_table_recurrence(n: int) -> TriangleTable:
+    """S-table from S(n, k) = sum_{j=k-1}^{n-1} S(n-1, j), base S(0, 0) = 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rows = [(1,)]
-    for _ in range(n):
-        suffix = list(accumulate(reversed(rows[-1])))
-        suffix.reverse()
-        rows.append((0, *suffix))
-    return TriangleTable(tuple(rows), kind="s")
+    return TriangleTable(tuple(_s_rows(n)), kind="s")
 
 
 def s_closed_form(n: int, k: int) -> int:
@@ -211,17 +219,17 @@ def s_closed_form(n: int, k: int) -> int:
     return catalan_entry(n - 1, n - k)
 
 
-def cumulative_s(n: int, k: int, table: TriangleTable | None = None) -> int:
+def cumulative_s(n: int, k: int) -> int:
     """Number of sequences of length 2n with at least k-1 components.
 
-    Equals sum_{j >= k-1} S(n, j), read from an S-table with rows to at
-    least n.  Valid for 1 <= k <= n+1 (k = n+1 gives S(n, n) = 1).
+    Equals sum_{j >= k-1} S(n, j), summed over row n of the recurrence.
+    Valid for 1 <= k <= n+1 (k = n+1 gives S(n, n) = 1).
     """
     if n < 0 or not 1 <= k <= n + 1:
         raise IndexError(f"need n >= 0 and 1 <= k <= n+1, got (n={n}, k={k})")
-    if table is None:
-        table = s_table_recurrence(n)
-    return sum(table.rows[n][k - 1 :])
+    for row in _s_rows(n):
+        pass
+    return sum(row[k - 1 :])
 
 
 def _delete(mask: int, ends: list[int], i: int) -> int:

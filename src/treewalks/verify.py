@@ -116,15 +116,18 @@ def check_s_table(max_n: int, enum_cap: int) -> CheckResult:
 
 
 def check_bijection(max_n: int) -> CheckResult:
-    """Exhaustive deletion/insertion bijection check with i = 1, on masks."""
+    """Exhaustive deletion/insertion bijection check with i = 1, on masks.
+
+    The kernel gives each path with its returns; only the inserted words
+    are scanned again, so the postcondition does not take ends from alpha.
+    """
     name = "deletion/insertion bijection"
-    prev = {0: _kernel.enumerate_masks(0)}  # masks of length 2(n-1) by component count
+    prev = {0: [0]}  # masks of length 2(n-1) by component count
     for n in range(1, max_n + 1):
         length = 2 * n
         by_comps: dict[int, list[int]] = {}
         images: dict[int, list[int]] = {}
-        for mask in _kernel.enumerate_masks(n):
-            ends = rlseq._component_ends(mask, length)
+        for mask, ends in _kernel.dyck_paths(n):
             by_comps.setdefault(len(ends), []).append(mask)
             images.setdefault(len(ends), []).append(rlseq._delete(mask, ends, 1))
         for k, image in images.items():
@@ -136,21 +139,19 @@ def check_bijection(max_n: int) -> CheckResult:
                     name, False, f"f_1 image mismatch on (n={n}, k={k})"
                 )
         # round trips: every valid (alpha, i, k) re-inserts then deletes to alpha
-        for j, alphas in prev.items():
-            for alpha in alphas:
-                ends = rlseq._component_ends(alpha, length - 2)
-                for k in range(1, j + 2):
-                    for i in range(1, k + 1):
-                        omega = rlseq._insert(alpha, ends, i, k)
-                        omega_ends = rlseq._component_ends(omega, length)
-                        if len(omega_ends) != k or omega_ends[-1] != length:
-                            fault = "insert postcondition"
-                        elif rlseq._delete(omega, omega_ends, i) != alpha:
-                            fault = "round trip"
-                        else:
-                            continue
-                        word = rlseq.RLSequence._from_mask(alpha, length - 2)
-                        return CheckResult(name, False, f"{fault} fails at {word}, i={i}, k={k}")
+        for alpha, ends in _kernel.dyck_paths(n - 1):
+            for k in range(1, len(ends) + 2):
+                for i in range(1, k + 1):
+                    omega = rlseq._insert(alpha, ends, i, k)
+                    omega_ends = rlseq._component_ends(omega, length)
+                    if len(omega_ends) != k or omega_ends[-1] != length:
+                        fault = "insert postcondition"
+                    elif rlseq._delete(omega, omega_ends, i) != alpha:
+                        fault = "round trip"
+                    else:
+                        continue
+                    word = rlseq.RLSequence._from_mask(alpha, length - 2)
+                    return CheckResult(name, False, f"{fault} fails at {word}, i={i}, k={k}")
         prev = by_comps
     return CheckResult(name, True)
 

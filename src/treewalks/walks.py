@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from treewalks.exact import ExactnessError
-from treewalks.rlseq import cumulative_s, s_table_recurrence
+from treewalks.rlseq import _s_rows
 from treewalks.triangles import borel_row, catalan_entry, catalan_number
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -84,13 +84,15 @@ class DeltaPolynomial:
 
 
 def walks_via_components(n: int, delta: int) -> int:
-    """Closed walks of length 2n via the component-count recurrence."""
+    """Closed walks of length 2n via the component-count recurrence.
+
+    Weights row n of the S recurrence, S(n, k) = cumulative_s(n-1, k),
+    holding one row at a time.
+    """
     _check_domain(n, delta)
-    table = s_table_recurrence(n - 1)
-    return sum(
-        delta**k * (delta - 1) ** (n - k) * cumulative_s(n - 1, k, table)
-        for k in range(1, n + 1)
-    )
+    for row in _s_rows(n):
+        pass
+    return sum(delta**k * (delta - 1) ** (n - k) * row[k] for k in range(1, n + 1))
 
 
 def walks_via_catalan(n: int, delta: int) -> int:

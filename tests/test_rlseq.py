@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -136,9 +138,27 @@ def test_histogram_totals_are_catalan():
         assert sum(_kernel.component_histogram(n)) == catalan_number(n)
 
 
+# sha256 over ",".join(masks of n) + "\n" for n = 0..12, in kernel order
+KERNEL_ORDER_SHA256 = "35bbaad1eb1457ee1d3c7836064b753452a6ab52503d69290eca5bab95c01b3c"
+
+
+def test_kernel_order_is_pinned():
+    digest = hashlib.sha256()
+    for n in range(13):
+        masks = ",".join(str(mask) for mask, _ in _kernel.dyck_paths(n))
+        digest.update(f"{masks}\n".encode())
+    assert digest.hexdigest() == KERNEL_ORDER_SHA256
+
+
+def test_kernel_ends_match_component_scan():
+    for n in range(11):
+        for mask, ends in _kernel.dyck_paths(n):
+            assert ends == rlseq._component_ends(mask, 2 * n), (n, mask)
+
+
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
-        _kernel.enumerate_masks(-1)
+        next(_kernel.dyck_paths(-1))
     with pytest.raises(ValueError):
         _kernel.component_histogram(-1)
 

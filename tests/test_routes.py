@@ -59,3 +59,14 @@ def test_verify_gf_quadratic_check_catches_a_wrong_coefficient(monkeypatch):
     result = verify.check_method_agreement(8, 4)
     assert not result.passed
     assert "gf quadratic identity fails at (u^5, delta=3)" in result.detail
+
+
+def test_verify_agreement_check_catches_a_disagreeing_route(monkeypatch):
+    def wrong_at_6_3(n, delta):
+        return walks_via_borel(n, delta) + ((n, delta) == (6, 3))
+
+    monkeypatch.setattr(verify, "walks_via_borel", wrong_at_6_3)
+    result = verify.check_method_agreement(8, 4)
+    assert not result.passed
+    assert result.detail.startswith("disagreement at (n=6, delta=3): ")
+    assert f"'borel': {walks_via_catalan(6, 3) + 1}" in result.detail

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from treewalks import verify
 from treewalks.triangles import (
     TriangleIndexError,
     TriangleTable,
@@ -171,3 +172,13 @@ def test_json_round_trip():
     assert parsed == [[str(e) for e in row] for row in table.rows]
     assert json.dumps(parsed) == payload
     assert [[int(e) for e in row] for row in parsed] == [list(r) for r in table.rows]
+
+
+def test_verify_borel_check_catches_a_wrong_entry(monkeypatch):
+    def wrong_at_5_2(n, k):
+        return borel_entry_explicit(n, k) + ((n, k) == (5, 2))
+
+    monkeypatch.setattr(verify, "borel_entry_explicit", wrong_at_5_2)
+    result = verify.check_borel_consistency(8)
+    assert not result.passed
+    assert result.detail == "(n=5, k=2): 771 != 770 or row 770"

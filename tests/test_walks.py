@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from treewalks import verify
 from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.triangles import borel_entry_transform, catalan_number
 from treewalks.walks import (
@@ -201,3 +202,34 @@ def test_domain_errors():
             fn(0, 3)
         with pytest.raises(ValueError):
             fn(3, 0)
+
+
+def test_verify_central_binomial_check_catches_a_wrong_count(monkeypatch):
+    def wrong_at_n4(n, delta):
+        return walks_via_catalan(n, delta) + (n == 4)
+
+    monkeypatch.setattr(verify, "walks_via_catalan", wrong_at_n4)
+    result = verify.check_central_binomial(8)
+    assert not result.passed
+    assert result.detail == "n=4: 71 != binom(2n,n)=70"
+
+
+@pytest.mark.parametrize(
+    "route, detail",
+    [
+        ("dp_walk_count", "profile sum off at (n=3, delta=2)"),
+        ("first_return_count", "first-return mismatch at (n=3, delta=2)"),
+        ("second_return_count", "second-return mismatch at (n=3, delta=2)"),
+        ("walks_with_k_returns", "k-return mismatch at (n=3, k=1, delta=2)"),
+    ],
+)
+def test_verify_return_check_catches_a_wrong_count(monkeypatch, route, detail):
+    right = getattr(verify, route)
+
+    def wrong_at_n3_delta2(n, *args):  # args is (delta,) or (k, delta)
+        return right(n, *args) + (n == 3 and args[-1] == 2)
+
+    monkeypatch.setattr(verify, route, wrong_at_n3_delta2)
+    result = verify.check_return_corollaries(5, 3)
+    assert not result.passed
+    assert result.detail == detail
