@@ -16,8 +16,10 @@ as the head fills the first n letters, taking heads in order and, for
 each, its tails in order gives the lexicographic order of whole paths.
 
 Cost: the halves are Dyck prefixes of length n, at most C(n, n/2) of
-them, built once; each of the Catalan(n) paths then costs one OR and one
-join of two short return lists.
+them, built once.  ``dyck_paths`` then spends one OR and one join of two
+short return lists on each of the Catalan(n) paths; ``component_histogram``
+keeps only each tail's return count and spends one list increment on each
+(head, tail) pair, still one per path.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def dyck_paths(n: int) -> Iterator[tuple[int, list[int]]]:
     ``rlseq._component_ends`` gives it; its length is the component count.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"n must be >= 0, got {n}")
     tails: dict[int, list[tuple[int, list[int], int]]] = {}
     for head, head_ends, height in _halves(n, 0, n, 0):
         if height not in tails:
@@ -68,9 +70,17 @@ def component_histogram(n: int) -> list[int]:
 
     Returns a list ``hist`` of length n+1 where ``hist[k]`` is the number
     of paths with exactly k components; ``hist[0]`` is 1 only for n = 0
-    (the empty path).
+    (the empty path).  Every (head, tail) pair adds one to the bin of its
+    summed return counts, so each path is still counted on its own.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     hist = [0] * (n + 1)
-    for _, ends in dyck_paths(n):
-        hist[len(ends)] += 1
+    tail_counts: dict[int, list[int]] = {}
+    for _, head_ends, height in _halves(n, 0, n, 0):
+        if height not in tail_counts:
+            tail_counts[height] = [len(e) for _, e, _ in _halves(n, n, 2 * n, height)]
+        base = len(head_ends)
+        for c in tail_counts[height]:
+            hist[base + c] += 1
     return hist

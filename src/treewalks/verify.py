@@ -144,7 +144,7 @@ def check_bijection(max_n: int) -> CheckResult:
                 for i in range(1, k + 1):
                     omega = rlseq._insert(alpha, ends, i, k)
                     omega_ends = rlseq._component_ends(omega, length)
-                    if len(omega_ends) != k or omega_ends[-1] != length:
+                    if omega_ends is None or len(omega_ends) != k:
                         fault = "insert postcondition"
                     elif rlseq._delete(omega, omega_ends, i) != alpha:
                         fault = "round trip"

@@ -164,3 +164,19 @@ def test_verify_bijection_check_catches_a_wrong_deletion(monkeypatch):
     result = verify.check_bijection(4)
     assert not result.passed
     assert re.search(r"\(n=\d+, k=\d+\)", result.detail)
+
+
+def test_verify_bijection_check_catches_an_insert_below_the_root(monkeypatch):
+    # wraps the block in L...R instead of R...L, so omega dips below the root
+    insert = rlseq._insert
+
+    def flipped(mask, ends, i, k):
+        hi = len(ends) - k + i
+        start = ends[i - 2] if i > 1 else 0
+        end = ends[hi - 1] if hi else 0
+        return insert(mask, ends, i, k) ^ (1 << start | 1 << (end + 1))
+
+    monkeypatch.setattr(rlseq, "_insert", flipped)
+    result = verify.check_bijection(4)
+    assert not result.passed
+    assert result.detail.startswith("insert postcondition fails at ")

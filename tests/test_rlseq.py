@@ -151,15 +151,61 @@ def test_kernel_order_is_pinned():
 
 
 def test_kernel_ends_match_component_scan():
-    for n in range(11):
+    for n in range(13):
         for mask, ends in _kernel.dyck_paths(n):
             assert ends == rlseq._component_ends(mask, 2 * n), (n, mask)
 
 
+def test_histogram_matches_per_path_count():
+    for n in range(13):
+        counted = [0] * (n + 1)
+        for _, ends in _kernel.dyck_paths(n):
+            counted[len(ends)] += 1
+        hist = _kernel.component_histogram(n)
+        assert hist == counted, n
+        if n:
+            assert hist[1:] == [s_closed_form(n, k) for k in range(1, n + 1)]
+
+
+def _bitwise_ends(mask, length):
+    """Reference scan, one step at a time: ends, or None off a Dyck path."""
+    ends, height = [], 0
+    for pos in range(length):
+        height += 1 if mask >> pos & 1 else -1
+        if height < 0:
+            return None
+        if not height:
+            ends.append(pos + 1)
+    return None if height else ends
+
+
+def test_byte_scan_matches_bitwise_reference():
+    legal = 0
+    for length in range(0, 17, 2):
+        for mask in range(1 << length):
+            expected = _bitwise_ends(mask, length)
+            assert rlseq._component_ends(mask, length) == expected, (length, mask)
+            legal += expected is not None
+            # a bit at or beyond the length is refused
+            assert rlseq._component_ends(mask | 1 << length, length) is None
+    assert legal == sum(catalan_number(n) for n in range(9))
+
+
+def test_byte_scan_above_height_eight():
+    # a byte boundary is first crossed above height 8 at semi-length 13,
+    # e.g. R^13 L^13 enters its third byte at height 10
+    for n in range(13, 21):
+        for a in range(9, n + 1):
+            for j in range(n - a + 1):
+                mask = rlseq._scan("RL" * j + "R" * a + "L" * a + "RL" * (n - a - j))
+                for m in (mask, mask ^ 1 << (2 * n - 1), mask ^ 1 << (2 * (j + a) - 1)):
+                    assert rlseq._component_ends(m, 2 * n) == _bitwise_ends(m, 2 * n), (n, m)
+
+
 def test_negative_n_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         next(_kernel.dyck_paths(-1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         _kernel.component_histogram(-1)
 
 
