@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 
 from treewalks import _kernel
@@ -92,61 +91,17 @@ def is_balanced_legal(word: str) -> bool:
     return True
 
 
-@cache
-def _byte_steps() -> tuple[list[tuple[tuple[int, ...], int] | None], list[int]]:
-    """Tables for ``_component_ends``, built on the first scan, not at import.
-
-    ``steps[h << 8 | byte]`` is (positions just after each return to height
-    0 within the byte, height after it) for a byte entered at height
-    h <= 8, or None if the byte goes below the root.  A byte entered above
-    height 8 cannot reach 0, so it only moves by ``rise[byte]``.
-    """
-    steps: list[tuple[tuple[int, ...], int] | None] = []
-    # equal steps share one tuple: 62 distinct among the 2,304 entries
-    shared: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
-    for entry in range(9):
-        for byte in range(256):
-            height, offsets = entry, []
-            for bit in range(8):
-                height += 1 if byte >> bit & 1 else -1
-                if height < 0:
-                    steps.append(None)
-                    break
-                if not height:
-                    offsets.append(bit + 1)
-            else:
-                step = (tuple(offsets), height)
-                steps.append(shared.setdefault(step, step))
-    rise = [2 * bin(byte).count("1") - 8 for byte in range(256)]
-    return steps, rise
-
-
 def _component_ends(mask: int, length: int) -> list[int] | None:
     """Position just after each return to height 0: component c ends at ends[c-1].
 
     None if the mask goes below the root, does not end on it, or has bits
-    at or beyond ``length``.  Scans a byte at a time, the last partial
-    byte bit by bit.
+    at or beyond ``length``.
     """
     if mask >> length:
         return None
-    steps, rise = _byte_steps()
     ends: list[int] = []
-    height = base = 0
-    full = length & ~7
-    while base < full:
-        byte = mask >> base & 255
-        if height > 8:
-            height += rise[byte]
-        else:
-            step = steps[height << 8 | byte]
-            if step is None:
-                return None
-            offsets, height = step
-            for offset in offsets:
-                ends.append(base + offset)
-        base += 8
-    for pos in range(base, length):
+    height = 0
+    for pos in range(length):
         height += 1 if mask >> pos & 1 else -1
         if height < 0:
             return None

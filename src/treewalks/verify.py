@@ -2,7 +2,8 @@
 
 Every check returns a CheckResult; a failed check carries the first
 located mismatch so a corrupted fixture or a broken formula is reported
-with coordinates, never as a bare boolean.
+with coordinates, never as a bare boolean.  A passing check counts the
+cases it compared in ``cases``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    cases: int = 0
 
 
 def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
@@ -73,7 +75,7 @@ def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
                 return CheckResult(
                     name, False, f"disagreement at (n={n}, delta={delta}): {values}"
                 )
-    return CheckResult(name, True)
+    return CheckResult(name, True, cases=max_n * max_delta)
 
 
 def _gf_quadratic_fault(f: list[int], delta: int) -> tuple[int, int] | None:
@@ -112,48 +114,60 @@ def check_s_table(max_n: int, enum_cap: int) -> CheckResult:
             return CheckResult(
                 name, False, f"row {n} sums to {total}, not Catalan({n})"
             )
-    return CheckResult(name, True)
+    return CheckResult(name, True, cases=limit * (limit + 1) // 2)
 
 
 def check_bijection(max_n: int) -> CheckResult:
-    """Exhaustive deletion/insertion bijection check with i = 1, on masks.
+    """Exhaustive deletion/insertion bijection check, every i, on masks.
 
-    The kernel gives each path with its returns; only the inserted words
-    are scanned again, so the postcondition does not take ends from alpha.
+    At each level n, every Dyck path omega with k components and every
+    1 <= i <= k is deleted to alpha = f_i(omega), which must be a path of
+    level n - 1 with at least k - 1 components, and inserting at (i, k)
+    must give omega back.  Insert after delete is the identity, so
+    deletion is injective from the (omega, i) pairs into the valid
+    (alpha, i, k) triples; an alpha with j components has (j+1)(j+2)/2
+    of them.  Equal counts make deletion a bijection, so every triple
+    inserts to a k-component path that deletes back to alpha, for every
+    i, and S(n, k) = sum_{j >= k-1} S(n-1, j) follows.
+
+    The count rests on the kernel yielding each path once, as
+    ``test_kernel_order_is_pinned`` holds it to for n <= 12.  Each level
+    is enumerated once, with its ends; level n - 1 is held as
+    mask -> ends.  Only a failing word is scanned.
     """
     name = "deletion/insertion bijection"
-    prev = {0: [0]}  # masks of length 2(n-1) by component count
+    prev: dict[int, list[int]] = {0: []}  # level 0: the empty path
+    pairs = 0
     for n in range(1, max_n + 1):
-        length = 2 * n
-        by_comps: dict[int, list[int]] = {}
-        images: dict[int, list[int]] = {}
-        for mask, ends in _kernel.dyck_paths(n):
-            by_comps.setdefault(len(ends), []).append(mask)
-            images.setdefault(len(ends), []).append(rlseq._delete(mask, ends, 1))
-        for k, image in images.items():
-            if len(set(image)) != len(image):
-                return CheckResult(name, False, f"f_1 not injective on (n={n}, k={k})")
-            target = {a for j, alphas in prev.items() if j >= k - 1 for a in alphas}
-            if set(image) != target:
-                return CheckResult(
-                    name, False, f"f_1 image mismatch on (n={n}, k={k})"
-                )
-        # round trips: every valid (alpha, i, k) re-inserts then deletes to alpha
-        for alpha, ends in _kernel.dyck_paths(n - 1):
-            for k in range(1, len(ends) + 2):
-                for i in range(1, k + 1):
-                    omega = rlseq._insert(alpha, ends, i, k)
-                    omega_ends = rlseq._component_ends(omega, length)
-                    if omega_ends is None or len(omega_ends) != k:
-                        fault = "insert postcondition"
-                    elif rlseq._delete(omega, omega_ends, i) != alpha:
-                        fault = "round trip"
-                    else:
-                        continue
-                    word = rlseq.RLSequence._from_mask(alpha, length - 2)
+        level: dict[int, list[int]] = {}
+        count = 0
+        for omega, ends in _kernel.dyck_paths(n):
+            if n < max_n:
+                level[omega] = ends
+            k = len(ends)
+            for i in range(1, k + 1):
+                alpha = rlseq._delete(omega, ends, i)
+                alpha_ends = prev.get(alpha)
+                if alpha_ends is None or len(alpha_ends) < k - 1:
+                    return CheckResult(name, False, f"f_{i} image mismatch on (n={n}, k={k})")
+                back = rlseq._insert(alpha, alpha_ends, i, k)
+                if back != omega:
+                    back_ends = rlseq._component_ends(back, 2 * n)
+                    ok = back_ends is not None and len(back_ends) == k
+                    fault = "round trip" if ok else "insert postcondition"
+                    word = rlseq.RLSequence._from_mask(alpha, 2 * n - 2)
                     return CheckResult(name, False, f"{fault} fails at {word}, i={i}, k={k}")
-        prev = by_comps
-    return CheckResult(name, True)
+            count += k
+        triples = sum((len(e) + 1) * (len(e) + 2) // 2 for e in prev.values())
+        if count != triples:
+            return CheckResult(
+                name,
+                False,
+                f"{count} (omega, i) pairs but {triples} (alpha, i, k) triples at n={n}",
+            )
+        pairs += count
+        prev = level
+    return CheckResult(name, True, cases=pairs)
 
 
 def check_borel_consistency(max_n: int = 30) -> CheckResult:
@@ -165,7 +179,7 @@ def check_borel_consistency(max_n: int = 30) -> CheckResult:
             a, b = borel_entry_explicit(n, k), borel_entry_transform(n, k)
             if not a == b == row[k]:
                 return CheckResult(name, False, f"(n={n}, k={k}): {a} != {b} or row {row[k]}")
-    return CheckResult(name, True)
+    return CheckResult(name, True, cases=(max_n + 1) * (max_n + 2) // 2)
 
 
 def check_central_binomial(max_n: int) -> CheckResult:
@@ -175,7 +189,7 @@ def check_central_binomial(max_n: int) -> CheckResult:
         w, c = walks_via_catalan(n, 2), comb(2 * n, n)
         if w != c:
             return CheckResult(name, False, f"n={n}: {w} != binom(2n,n)={c}")
-    return CheckResult(name, True)
+    return CheckResult(name, True, cases=max_n)
 
 
 def check_return_corollaries(max_n: int, max_delta: int) -> CheckResult:
@@ -199,7 +213,7 @@ def check_return_corollaries(max_n: int, max_delta: int) -> CheckResult:
                     return CheckResult(
                         name, False, f"k-return mismatch at (n={n}, k={k}, delta={delta})"
                     )
-    return CheckResult(name, True)
+    return CheckResult(name, True, cases=max_delta * max_n * (max_n + 1) // 2)
 
 
 def check_fixtures(fixture_dir: str | Path | None = None) -> CheckResult:
@@ -230,7 +244,8 @@ def check_fixtures(fixture_dir: str | Path | None = None) -> CheckResult:
             return CheckResult(
                 name, False, f"k-return multiplier (n={n}, k={k}): computed {got_m}, fixture {m}"
             )
-    return CheckResult(name, True)
+    entries = sum(map(len, cat + bor)) + sum(map(len, polys.values())) + len(mults)
+    return CheckResult(name, True, cases=entries)
 
 
 def _first_row_diff(kind: str, computed: list[list[int]], fixture: list[list[int]]) -> str:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treewalks import rlseq, verify
+from treewalks import _kernel, rlseq, verify
 from treewalks.rlseq import (
     ComponentIndexError,
     RLSequence,
@@ -180,3 +180,39 @@ def test_verify_bijection_check_catches_an_insert_below_the_root(monkeypatch):
     result = verify.check_bijection(4)
     assert not result.passed
     assert result.detail.startswith("insert postcondition fails at ")
+
+
+def test_verify_bijection_check_catches_a_wrong_round_trip(monkeypatch):
+    # inserts at the mirrored index: a valid word with k components, not omega
+    insert = rlseq._insert
+    monkeypatch.setattr(
+        rlseq, "_insert", lambda mask, ends, i, k: insert(mask, ends, k - i + 1, k)
+    )
+    result = verify.check_bijection(4)
+    assert not result.passed
+    assert result.detail.startswith("round trip fails at ")
+
+
+def test_verify_bijection_check_catches_a_missing_path(monkeypatch):
+    # the kernel drops RLRLRL, the last path of level 3, and its three pairs
+    dyck_paths = _kernel.dyck_paths
+    monkeypatch.setattr(
+        _kernel, "dyck_paths", lambda n: list(dyck_paths(n))[: -1 if n == 3 else None]
+    )
+    result = verify.check_bijection(4)
+    assert not result.passed
+    assert result.detail == "6 (omega, i) pairs but 9 (alpha, i, k) triples at n=3"
+
+
+@pytest.mark.parametrize("max_n, pairs", [(8, 4_861), (10, 58_785)])
+def test_verify_bijection_check_counts_every_pair(max_n, pairs):
+    # sum over n of the components of every path of length 2n
+    expected = sum(
+        len(rlseq._component_ends(mask, 2 * n))
+        for n in range(1, max_n + 1)
+        for mask, _ in _kernel.dyck_paths(n)
+    )
+    assert expected == pairs
+    assert verify.check_bijection(max_n) == verify.CheckResult(
+        "deletion/insertion bijection", True, cases=pairs
+    )

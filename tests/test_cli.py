@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from treewalks import cli
+from treewalks import cli, verify
 from treewalks import fixtures as fx
 
 
@@ -181,6 +181,13 @@ def test_verify_passes(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 7
     assert all(line.rstrip().endswith("PASS") for line in lines)
+
+
+def test_every_verify_check_counts_its_cases():
+    results = verify.run_all()
+    assert len(results) == 7
+    for r in results:
+        assert r.passed and r.cases > 0, r
 
 
 @pytest.mark.parametrize(
