@@ -8,6 +8,7 @@ error.  All output is deterministic; JSON integers are decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -181,7 +182,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    Parsing leaves the parser as it was, so ``main`` reuses it; a caller
+    must not modify the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="treewalks",
         description="Exact closed-walk counts on infinite regular trees",
@@ -243,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, IndexError) as exc:

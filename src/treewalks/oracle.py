@@ -12,6 +12,8 @@ Two routes, independent of every closed form under test:
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from treewalks import _kernel
 from treewalks.rlseq import ENUM_CAP_DEFAULT, check_enumeration_cap
 
@@ -77,18 +79,20 @@ def dp_return_profile(n: int, delta: int) -> list[int]:
     _check(delta)
     # rows[d][r] = walks ending at distance d with r returns so far.  Only
     # depths of the step's parity are reached; a depth beyond
-    # min(step, 2n - step) can no longer get back by step 2n.
-    zero = [0] * (n + 1)
-    rows = [[1] + [0] * n]
+    # min(step, 2n - step) can no longer get back by step 2n.  r returns
+    # and the climb to d take 2r + d <= step steps, so rows[d] holds
+    # r = 0..(step - d)/2 only: the row from depth d - 1 is one longer
+    # than the row from d + 1.
+    rows = [[1]]
     for step in range(1, 2 * n + 1):
         top = min(step, 2 * n - step)
-        nxt = [zero] * (top + 1)
+        nxt: list[list[int]] = [[]] * (top + 1)
         for d in range(step % 2, top + 1, 2):
-            above = rows[d + 1] if d + 1 < len(rows) else zero
+            above = rows[d + 1] if d + 1 < len(rows) else []
             if d == 0:
-                nxt[0] = [0] + above[:-1]  # stepping down to the root is a return
+                nxt[0] = [0, *above]  # stepping down to the root is a return
             else:
                 w = delta if d == 1 else delta - 1
-                nxt[d] = [w * a + b for a, b in zip(rows[d - 1], above)]
+                nxt[d] = [w * a + b for a, b in zip_longest(rows[d - 1], above, fillvalue=0)]
         rows = nxt
     return rows[0][1:]

@@ -16,7 +16,7 @@ We implement the corrected form and check exact divisibility; the
 transform definition above is kept as an independent second route and
 the two are required to agree everywhere.  ``borel_row`` evaluates the
 same transform for a whole row at once; it is what the walk polynomial
-and ``borel_table`` use.
+uses.  ``borel_table`` is a third route, a row recurrence.
 """
 
 from __future__ import annotations
@@ -157,8 +157,26 @@ def catalan_table(N: int) -> TriangleTable:
 
 
 def borel_table(N: int) -> TriangleTable:
-    """Rows 0..N of Borel's triangle via the transform route."""
+    """Rows 0..N of Borel's triangle, each built from the one before.
+
+    The ballot step gives (1 - x) P_n(x) = P_{n-1}(x) - Cat(n) x^(n+1)
+    for the Catalan row polynomials P_n(x) = sum_s C(n, s) x^s; since
+    B_n(x) = P_n(1 + x), substituting x -> 1 + x gives
+
+        B(n, k) = Cat(n) binom(n+1, k+1) - B(n-1, k+1),  B(-1, .) = 0.
+
+    binom(n+1, .) advances by Pascal's rule, so a row costs O(n)
+    operations and the table O(N^2).  This route calls neither
+    ``borel_row`` nor the entry formulas; ``verify`` checks it against
+    all three.
+    """
     if N < 0:
         raise TriangleIndexError(f"N must be >= 0, got {N}")
-    rows = tuple(tuple(borel_row(n)) for n in range(N + 1))
-    return TriangleTable(rows=rows, kind="borel")
+    rows: list[tuple[int, ...]] = []
+    binom = [1, 1]  # binom(n+1, 0..n+1)
+    for n in range(N + 1):
+        cat = catalan_number(n)
+        above = rows[-1][1:] if rows else ()  # B(n-1, 1..n-1)
+        rows.append(tuple(cat * b - a for b, a in zip(binom[1:], (*above, 0, 0))))
+        binom = list(map(add, [0, *binom], [*binom, 0]))
+    return TriangleTable(rows=tuple(rows), kind="borel")

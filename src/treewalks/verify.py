@@ -3,7 +3,8 @@
 Every check returns a CheckResult; a failed check carries the first
 located mismatch so a corrupted fixture or a broken formula is reported
 with coordinates, never as a bare boolean.  A passing check counts the
-cases it compared in ``cases``.
+cases it compared in ``cases``; a check that compared none fails with
+"checked nothing".
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ class CheckResult:
     cases: int = 0
 
 
+def _passed(name: str, cases: int) -> CheckResult:
+    """The result of a check that found no mismatch in ``cases`` cases."""
+    if cases < 1:
+        return CheckResult(name, False, "checked nothing")
+    return CheckResult(name, True, cases=cases)
+
+
 def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
     """components = catalan = borel = DP oracle = gf (delta >= 2), exactly.
 
@@ -75,7 +83,7 @@ def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
                 return CheckResult(
                     name, False, f"disagreement at (n={n}, delta={delta}): {values}"
                 )
-    return CheckResult(name, True, cases=max_n * max_delta)
+    return _passed(name, max_n * max_delta)
 
 
 def _gf_quadratic_fault(f: list[int], delta: int) -> tuple[int, int] | None:
@@ -114,7 +122,7 @@ def check_s_table(max_n: int, enum_cap: int) -> CheckResult:
             return CheckResult(
                 name, False, f"row {n} sums to {total}, not Catalan({n})"
             )
-    return CheckResult(name, True, cases=limit * (limit + 1) // 2)
+    return _passed(name, limit * (limit + 1) // 2)
 
 
 def check_bijection(max_n: int) -> CheckResult:
@@ -167,19 +175,25 @@ def check_bijection(max_n: int) -> CheckResult:
             )
         pairs += count
         prev = level
-    return CheckResult(name, True, cases=pairs)
+    return _passed(name, pairs)
 
 
 def check_borel_consistency(max_n: int = 30) -> CheckResult:
-    """Corrected explicit formula agrees with the transform, entry and row."""
+    """Explicit formula, transform, ``borel_row`` and ``borel_table`` agree.
+
+    The four routes are compared entry by entry for rows 0..max_n.
+    """
     name = "Borel explicit = transform"
+    table = borel_table(max_n).rows
     for n in range(max_n + 1):
         row = borel_row(n)
         for k in range(n + 1):
             a, b = borel_entry_explicit(n, k), borel_entry_transform(n, k)
             if not a == b == row[k]:
                 return CheckResult(name, False, f"(n={n}, k={k}): {a} != {b} or row {row[k]}")
-    return CheckResult(name, True, cases=(max_n + 1) * (max_n + 2) // 2)
+            if table[n][k] != a:
+                return CheckResult(name, False, f"(n={n}, k={k}): table {table[n][k]} != {a}")
+    return _passed(name, (max_n + 1) * (max_n + 2) // 2)
 
 
 def check_central_binomial(max_n: int) -> CheckResult:
@@ -189,7 +203,7 @@ def check_central_binomial(max_n: int) -> CheckResult:
         w, c = walks_via_catalan(n, 2), comb(2 * n, n)
         if w != c:
             return CheckResult(name, False, f"n={n}: {w} != binom(2n,n)={c}")
-    return CheckResult(name, True, cases=max_n)
+    return _passed(name, max_n)
 
 
 def check_return_corollaries(max_n: int, max_delta: int) -> CheckResult:
@@ -213,7 +227,7 @@ def check_return_corollaries(max_n: int, max_delta: int) -> CheckResult:
                     return CheckResult(
                         name, False, f"k-return mismatch at (n={n}, k={k}, delta={delta})"
                     )
-    return CheckResult(name, True, cases=max_delta * max_n * (max_n + 1) // 2)
+    return _passed(name, max_delta * max_n * (max_n + 1) // 2)
 
 
 def check_fixtures(fixture_dir: str | Path | None = None) -> CheckResult:
@@ -245,7 +259,7 @@ def check_fixtures(fixture_dir: str | Path | None = None) -> CheckResult:
                 name, False, f"k-return multiplier (n={n}, k={k}): computed {got_m}, fixture {m}"
             )
     entries = sum(map(len, cat + bor)) + sum(map(len, polys.values())) + len(mults)
-    return CheckResult(name, True, cases=entries)
+    return _passed(name, entries)
 
 
 def _first_row_diff(kind: str, computed: list[list[int]], fixture: list[list[int]]) -> str:

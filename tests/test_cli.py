@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from importlib import resources
@@ -190,6 +191,13 @@ def test_every_verify_check_counts_its_cases():
         assert r.passed and r.cases > 0, r
 
 
+def test_a_check_that_compares_nothing_fails():
+    results = verify.run_all(max_n=0)
+    failed = [(r.detail, r.cases) for r in results if not r.passed]
+    assert failed == [("checked nothing", 0)] * 5
+    assert all(r.cases > 0 for r in results if r.passed)
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [
@@ -290,3 +298,65 @@ def test_determinism(capsys):
     a = run(capsys, "triangle", "borel", "--rows", "6", "--format", "json")
     b = run(capsys, "triangle", "borel", "--rows", "6", "--format", "json")
     assert a == b
+
+
+# sha256 of the stdout of `triangle borel --rows N --format F`, pinned
+# from the transform-built table before the row recurrence replaced it
+_BOREL_OUTPUT_SHA256 = {
+    (122, "plain"): "9307a23d4a3e9e9f51ff2661dce38843978ef4f35abb76915bd345f54327e65f",
+    (122, "csv"): "ba186ef00e6e6b6c195fa3dc83c2c9d187e547260fa01397b7caa45c22adaf52",
+    (122, "json"): "731f807e1dfc9d3b4ed6a79ba64661c378f89d49946a91274344c0937789c64a",
+    (400, "plain"): "3d4383b22e546989759f13e659298a776259fd2e82021ae75102707d808e1135",
+    (400, "csv"): "17691a77a9c51db2c47fe6f074711b228ea5cfa5df5722d81ba59ceecd7cd6e2",
+    (400, "json"): "14e2497257169fdec7ce9ca8b35e9099e8f0770ec12d05e753c036c36a4843e7",
+}
+
+
+@pytest.mark.parametrize("rows, fmt", sorted(_BOREL_OUTPUT_SHA256))
+def test_borel_triangle_output_is_pinned(capsys, rows, fmt):
+    code, out, err = run(capsys, "triangle", "borel", "--rows", str(rows), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _BOREL_OUTPUT_SHA256[rows, fmt]
+
+
+# every subcommand, an argparse error, and a default that follows an override
+_MIXED_ARGV = [
+    ["triangle", "catalan", "--rows", "5", "--format", "csv"],
+    ["triangle", "borel", "--rows", "4", "--format", "json", "--check-fixture"],
+    ["walks", "--n", "6", "--delta", "3", "--method", "all"],
+    ["walks", "--n", "3", "--delta", "4", "--method", "gf", "--rational"],
+    ["walks", "--n", "0", "--delta", "3"],
+    ["poly", "--n", "5", "--ascii"],
+    ["poly", "--n", "7", "--check-fixture"],
+    ["stable", "--n", "6", "--method", "enumerated", "--enum-cap", "5"],
+    ["stable", "--n", "6", "--method", "enumerated"],
+    ["stable", "--n", "4", "--method", "closed", "--format", "json"],
+    ["walks", "--n", "2"],
+    ["triangle", "pascal", "--rows", "3"],
+    ["verify", "--max-n", "3", "--max-delta", "2", "--enum-cap", "3"],
+    ["verify", "--max-n", "0"],
+    ["triangle", "borel", "--rows", "3"],
+]
+
+
+def _run_each(capsys, argv_list):
+    outcomes = []
+    for argv in argv_list:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_one_parser_per_process_answers_like_a_fresh_one(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    shared = _run_each(capsys, _MIXED_ARGV)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run_each(capsys, _MIXED_ARGV)
+    assert shared == fresh
+    assert shared[7][0] == 2 and "enumeration cap" in shared[7][2].lower()
+    assert shared[8][0] == 0
+    assert [o[0] for o in shared[10:12]] == [("exit", 2)] * 2

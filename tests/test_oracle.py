@@ -78,6 +78,36 @@ def test_return_profile_via_enumeration():
             assert dp_return_profile(n, delta) == by_k
 
 
+def _full_width_return_profile(n, delta):
+    """dp_return_profile with an (n + 1)-wide return vector at every depth."""
+    zero = [0] * (n + 1)
+    rows = [[1] + [0] * n]
+    for step in range(1, 2 * n + 1):
+        top = min(step, 2 * n - step)
+        nxt = [zero] * (top + 1)
+        for d in range(step % 2, top + 1, 2):
+            above = rows[d + 1] if d + 1 < len(rows) else zero
+            if d == 0:
+                nxt[0] = [0] + above[:-1]
+            else:
+                w = delta if d == 1 else delta - 1
+                nxt[d] = [w * a + b for a, b in zip(rows[d - 1], above)]
+        rows = nxt
+    return rows[0][1:]
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 7])
+def test_trimmed_return_profile_matches_full_width_dp(delta):
+    for n in range(1, 41):
+        assert dp_return_profile(n, delta) == _full_width_return_profile(n, delta)
+
+
+def test_trimmed_return_profile_matches_full_width_dp_at_n80():
+    profile = dp_return_profile(80, 20)
+    assert len(profile) == 80
+    assert profile == _full_width_return_profile(80, 20)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         dp_walk_count(-1, 3)

@@ -115,6 +115,17 @@ def test_borel_row_equals_entry_routes():
         borel_row(-1)
 
 
+def test_borel_table_recurrence_equals_row_and_entry_routes():
+    full = borel_table(60).rows
+    for n, built in enumerate(full):
+        assert list(built) == borel_row(n)
+        assert list(built) == [borel_entry_explicit(n, k) for k in range(n + 1)]
+    for N in range(60):
+        assert borel_table(N).rows == full[: N + 1]
+    with pytest.raises(TriangleIndexError):
+        borel_table(-1)
+
+
 def test_published_borel_formula_denominator_is_wrong():
     # regression documenting the typo: a 1/n denominator contradicts the
     # triangle itself (and is undefined at n = 0)
@@ -182,3 +193,16 @@ def test_verify_borel_check_catches_a_wrong_entry(monkeypatch):
     result = verify.check_borel_consistency(8)
     assert not result.passed
     assert result.detail == "(n=5, k=2): 771 != 770 or row 770"
+
+
+def test_verify_borel_check_catches_a_wrong_table_entry(monkeypatch):
+    def wrong_at_9_4(N):
+        rows = [list(r) for r in borel_table(N).rows]
+        rows[9][4] += 1
+        return TriangleTable(tuple(map(tuple, rows)), kind="borel")
+
+    monkeypatch.setattr(verify, "borel_table", wrong_at_9_4)
+    result = verify.check_borel_consistency(12)
+    assert not result.passed
+    right = borel_entry_explicit(9, 4)
+    assert result.detail == f"(n=9, k=4): table {right + 1} != {right}"
