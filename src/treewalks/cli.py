@@ -2,7 +2,8 @@
 
 Subcommands: triangle, walks, poly, stable, verify.  Exit codes are
 fixed: 0 success, 1 verification or fixture failure, 2 usage/domain
-error.  All output is deterministic; JSON integers are decimal strings.
+error, 141 the reader closed stdout.  All output is deterministic; JSON
+integers are decimal strings.
 """
 
 from __future__ import annotations
@@ -10,13 +11,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from treewalks import fixtures as fx
 from treewalks import rlseq, verify
 from treewalks.oracle import dp_walk_count
 from treewalks.series import gf_walk_counts, sqrt_coefficients
-from treewalks.triangles import TriangleTable, borel_table, catalan_table, format_rows
+from treewalks.triangles import borel_rows, catalan_rows, checked_rows, format_rows
 from treewalks.walks import (
     walks_polynomial,
     walks_via_borel,
@@ -27,32 +29,30 @@ from treewalks.walks import (
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
-    table: TriangleTable = (
-        catalan_table(args.rows) if args.kind == "catalan" else borel_table(args.rows)
-    )
-    rows = [list(r) for r in table.rows]
-    print(format_rows(rows, args.format))
+    rows = catalan_rows if args.kind == "catalan" else borel_rows
+    sys.stdout.writelines(format_rows(checked_rows(rows(args.rows), args.kind), args.format))
     if args.check_fixture:
         try:
             fixture = fx.triangle_rows(args.kind, args.fixture_dir)
         except (OSError, ValueError) as exc:
             print(f"fixture unreadable: {exc}", file=sys.stderr)
             return EXIT_VERIFY
-        depth = min(len(rows), len(fixture))
-        for n in range(depth):
-            if rows[n] != fixture[n]:
+        depth = min(args.rows + 1, len(fixture))
+        for n, (row, expected) in enumerate(zip(rows(depth - 1), fixture)):
+            if list(row) != expected:
                 print(
                     f"fixture mismatch: {args.kind} row {n}: "
-                    f"computed {rows[n]}, fixture {fixture[n]}",
+                    f"computed {list(row)}, fixture {expected}",
                     file=sys.stderr,
                 )
                 return EXIT_VERIFY
-        if len(rows) > depth:
+        if args.rows >= depth:
             print(
-                f"fixture check: {args.kind} rows 0..{depth - 1} of 0..{len(rows) - 1} "
+                f"fixture check: {args.kind} rows 0..{depth - 1} of 0..{args.rows} "
                 f"checked; the fixture ends at row {depth - 1}",
                 file=sys.stderr,
             )
@@ -143,20 +143,19 @@ def _cmd_stable(args: argparse.Namespace) -> int:
     if args.method == "enumerated":
         if args.enum_cap < 0:
             raise ValueError(f"--enum-cap must be >= 0, got {args.enum_cap}")
-        table = rlseq.s_table_enumerated(args.n, cap=args.enum_cap)
+        rows = rlseq.s_table_enumerated(args.n, cap=args.enum_cap).rows
+    elif args.n < 0:
+        raise ValueError(f"n must be >= 0, got {args.n}")
     elif args.method == "closed":
-        if args.n < 0:
-            raise ValueError(f"n must be >= 0, got {args.n}")
-        rows = [(1,)] + [
-            (0, *(rlseq.s_closed_form(m, k) for k in range(1, m + 1)))
-            for m in range(1, args.n + 1)
-        ]
-        table = TriangleTable(tuple(rows), kind="s")
+        rows = (
+            (0, *(rlseq.s_closed_form(m, k) for k in range(1, m + 1))) if m else (1,)
+            for m in range(args.n + 1)
+        )
     else:
-        table = rlseq.s_table_recurrence(args.n)
+        rows = rlseq._s_rows(args.n)
     # rows m >= 1 are printed as S(m, 1..m), without the zero S(m, 0)
-    first, *rest = table.rows
-    print(format_rows([first, *(row[1:] for row in rest)], args.format))
+    printed = (row[1:] if m else row for m, row in enumerate(checked_rows(rows, "s")))
+    sys.stdout.writelines(format_rows(printed, args.format))
     return EXIT_OK
 
 
@@ -251,11 +250,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # an exact answer may run past Python's 4,300-digit int -> str limit;
+    # lift it while the command runs (3.10.0-3.10.6 have no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered, and the
+        # interpreter's final flush, to devnull so that neither can raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -34,11 +34,16 @@ def fixture_text(name: str, fixture_dir: str | Path | None = None) -> str:
     return (resources.files(__package__) / name).read_text()
 
 
+def _int_rows(name: str, fixture_dir: str | Path | None) -> list[list[int]]:
+    """The fixture's non-empty CSV lines, each as a list of integers."""
+    text = fixture_text(name, fixture_dir)
+    return [[int(e) for e in line.split(",")] for line in text.splitlines() if line]
+
+
 def triangle_rows(kind: str, fixture_dir: str | Path | None = None) -> list[list[int]]:
     """Rows 0..7 of the triangle, row n with n + 1 entries."""
     name = f"{kind}_triangle.csv"
-    text = fixture_text(name, fixture_dir)
-    rows = [[int(e) for e in line.split(",")] for line in text.splitlines() if line]
+    rows = _int_rows(name, fixture_dir)
     if [len(row) for row in rows] != list(range(1, 9)):
         raise ValueError(f"{name} does not hold rows 0..7 with n + 1 entries each")
     return rows
@@ -46,13 +51,7 @@ def triangle_rows(kind: str, fixture_dir: str | Path | None = None) -> list[list
 
 def polynomial_coefficients(fixture_dir: str | Path | None = None) -> dict[int, list[int]]:
     """n -> exponent-descending coefficient list, for n = 1..6."""
-    text = fixture_text("walk_polynomials.csv", fixture_dir)
-    out = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        n, *coeffs = (int(e) for e in line.split(","))
-        out[n] = list(coeffs)
+    out = {n: coeffs for n, *coeffs in _int_rows("walk_polynomials.csv", fixture_dir)}
     if {n: len(c) for n, c in out.items()} != {n: n for n in range(1, 7)}:
         raise ValueError("walk_polynomials.csv does not hold n = 1..6 with n coefficients each")
     return out
@@ -60,13 +59,7 @@ def polynomial_coefficients(fixture_dir: str | Path | None = None) -> dict[int, 
 
 def k_return_multipliers(fixture_dir: str | Path | None = None) -> dict[tuple[int, int], int]:
     """(n, k) -> shape-count multiplier from the per-return tables, 1 <= k <= n <= 6."""
-    text = fixture_text("k_return_multipliers.csv", fixture_dir)
-    out = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        n, k, m = (int(e) for e in line.split(","))
-        out[(n, k)] = m
+    out = {(n, k): m for n, k, m in _int_rows("k_return_multipliers.csv", fixture_dir)}
     if out.keys() != {(n, k) for n in range(1, 7) for k in range(1, n + 1)}:
         raise ValueError(
             "k_return_multipliers.csv does not hold every (n, k) with 1 <= k <= n <= 6"

@@ -16,13 +16,15 @@ We implement the corrected form and check exact divisibility; the
 transform definition above is kept as an independent second route and
 the two are required to agree everywhere.  ``borel_row`` evaluates the
 same transform for a whole row at once; it is what the walk polynomial
-uses.  ``borel_table`` is a third route, a row recurrence.
+uses.  ``borel_rows`` is a third route, a row recurrence.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from operator import add
 
@@ -82,41 +84,60 @@ def borel_row(n: int) -> list[int]:
     return row
 
 
-def format_rows(rows, fmt: str) -> str:
-    """Rows of integers as text, without a trailing newline.
+def checked_rows(rows: Iterable[tuple[int, ...]], kind: str) -> Iterator[tuple[int, ...]]:
+    """Yield each row of a ``kind`` table, raising ValueError at the first bad one.
+
+    Row n holds n + 1 entries, all >= 1, except that an "s" row n >= 1
+    starts with S(n, 0) = 0 (a non-empty walk shape has a component).
+    """
+    for n, row in enumerate(rows):
+        if len(row) != n + 1:
+            raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
+        counts = row
+        if kind == "s" and n:
+            if row[0] != 0:
+                raise ValueError(f"row {n} has S({n}, 0) = {row[0]}, expected 0")
+            counts = row[1:]
+        if min(counts) < 1:
+            raise ValueError(f"row {n} has an entry < 1")
+        yield row
+
+
+def format_rows(rows: Iterable[tuple[int, ...]], fmt: str) -> Iterator[str]:
+    """Rows of integers as text, one piece per row, ending in a newline.
 
     ``fmt`` "json" gives an array of arrays of decimal strings (no
     precision loss); "csv" gives one comma-separated line per row and
-    "plain" one space-separated line per row.
+    "plain" one space-separated line per row.  The first row is pulled
+    before any text is yielded, so a builder that refuses its input
+    prints nothing.
     """
     if fmt == "json":
-        return json.dumps([[str(e) for e in row] for row in rows])
+        pieces = (json.dumps(list(map(str, row))) for row in rows)
+        yield "[" + next(pieces, "")
+        for piece in pieces:
+            yield ", " + piece
+        yield "]\n"
+        return
     sep = "," if fmt == "csv" else " "
-    return "\n".join(sep.join(map(str, row)) for row in rows)
+    for row in rows:
+        yield sep.join(map(str, row)) + "\n"
 
 
 @dataclass(frozen=True)
 class TriangleTable:
     """Immutable lower-triangular table of exact counts: row n holds k = 0..n.
 
-    ``kind`` "catalan" and "borel" tables have every entry >= 1.  An "s"
-    table holds the component counts S(n, k): S(0, 0) = 1, and for n >= 1
-    S(n, 0) = 0 (a non-empty walk shape has a component) and S(n, k) >= 1.
+    ``kind`` is "catalan", "borel" or "s" (the component counts S(n, k));
+    the constructor runs every row through ``checked_rows``.
     """
 
     rows: tuple[tuple[int, ...], ...]
     kind: str  # "catalan", "borel" or "s"
 
     def __post_init__(self) -> None:
-        for n, row in enumerate(self.rows):
-            if len(row) != n + 1:
-                raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-            if self.kind == "s" and n:
-                if row[0] != 0:
-                    raise ValueError(f"row {n} has S({n}, 0) = {row[0]}, expected 0")
-                row = row[1:]
-            if min(row) < 1:
-                raise ValueError(f"row {n} has an entry < 1")
+        for _ in checked_rows(self.rows, self.kind):
+            pass
 
     def entry(self, n: int, k: int) -> int:
         _check_index(n, k)
@@ -124,39 +145,25 @@ class TriangleTable:
             raise TriangleIndexError(f"row {n} not built (table has {len(self.rows)} rows)")
         return self.rows[n][k]
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
 
-    def to_csv(self) -> str:
-        """One line per row, comma-separated decimal entries."""
-        return format_rows(self.rows, "csv") + "\n"
-
-    def to_json(self) -> str:
-        """Array of arrays; entries as decimal strings (no precision loss)."""
-        return format_rows(self.rows, "json")
-
-
-def catalan_table(N: int) -> TriangleTable:
+def catalan_rows(N: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..N of Catalan's triangle via the additive ballot recurrence.
 
-    The recurrence C(n, k) = C(n-1, k) + C(n, k-1) with C(n, 0) = 1 is
+    C(n, k) = C(n-1, k) + C(n, k-1) with C(n, 0) = 1 makes row n the
+    running sum of row n - 1 with a 0 appended.  The recurrence is
     standard but not part of the source identities, so the test suite
     validates it against ``catalan_entry`` rather than trusting it.
     """
     if N < 0:
         raise TriangleIndexError(f"N must be >= 0, got {N}")
-    rows: list[tuple[int, ...]] = []
-    for n in range(N + 1):
-        row = [1]
-        for k in range(1, n + 1):
-            above = rows[n - 1][k] if k < n else 0
-            row.append(above + row[k - 1])
-        rows.append(tuple(row))
-    return TriangleTable(rows=tuple(rows), kind="catalan")
+    row: tuple[int, ...] = (1,)
+    yield row
+    for _ in range(N):
+        row = tuple(accumulate((*row, 0)))
+        yield row
 
 
-def borel_table(N: int) -> TriangleTable:
+def borel_rows(N: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..N of Borel's triangle, each built from the one before.
 
     The ballot step gives (1 - x) P_n(x) = P_{n-1}(x) - Cat(n) x^(n+1)
@@ -172,11 +179,20 @@ def borel_table(N: int) -> TriangleTable:
     """
     if N < 0:
         raise TriangleIndexError(f"N must be >= 0, got {N}")
-    rows: list[tuple[int, ...]] = []
+    row: tuple[int, ...] = ()  # B(-1, .)
     binom = [1, 1]  # binom(n+1, 0..n+1)
     for n in range(N + 1):
         cat = catalan_number(n)
-        above = rows[-1][1:] if rows else ()  # B(n-1, 1..n-1)
-        rows.append(tuple(cat * b - a for b, a in zip(binom[1:], (*above, 0, 0))))
+        row = tuple(cat * b - a for b, a in zip(binom[1:], (*row[1:], 0, 0)))
+        yield row
         binom = list(map(add, [0, *binom], [*binom, 0]))
-    return TriangleTable(rows=tuple(rows), kind="borel")
+
+
+def catalan_table(N: int) -> TriangleTable:
+    """Rows 0..N of Catalan's triangle, from ``catalan_rows``."""
+    return TriangleTable(tuple(catalan_rows(N)), kind="catalan")
+
+
+def borel_table(N: int) -> TriangleTable:
+    """Rows 0..N of Borel's triangle, from ``borel_rows``."""
+    return TriangleTable(tuple(borel_rows(N)), kind="borel")

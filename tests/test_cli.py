@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from decimal import Decimal
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from treewalks import cli, verify
+import treewalks
+from treewalks import cli, rlseq, verify
 from treewalks import fixtures as fx
+from treewalks.series import gf_walk_counts
 
 
 def run(capsys, *argv):
@@ -317,6 +324,107 @@ def test_borel_triangle_output_is_pinned(capsys, rows, fmt):
     code, out, err = run(capsys, "triangle", "borel", "--rows", str(rows), "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _BOREL_OUTPUT_SHA256[rows, fmt]
+
+
+# sha256 of the stdout of each table command at 300 rows, pinned from the
+# whole-table builders before the tables were streamed row by row
+_TABLE_OUTPUT_SHA256 = {
+    ("triangle catalan --rows 300", "plain"): "6883a9dc6197ac856ea3cbe4b20fa620d8f981164b8eafc95b5995757410705e",
+    ("triangle catalan --rows 300", "csv"): "f236530e0331b11f9706793bebeda9df5dca662c3eb705e9cb80032e1d0aa874",
+    ("triangle catalan --rows 300", "json"): "58ba06f46ba366a05d6b6e6820cca2b339cc74dc07f54977425ea745f2d41959",
+    ("triangle borel --rows 300", "plain"): "2719259831ebf42ea40ba709ded721c723f86304609a8200285ccf94f8226705",
+    ("triangle borel --rows 300", "csv"): "7abcd8cdcca57eae0f88638fad6ed15683d8ba0804c97651aac20de13e26faa4",
+    ("triangle borel --rows 300", "json"): "44d629bcbbe347ba62f85df6ead5e9c4f865a927b5a5b614961d61ce98d09470",
+    ("stable --n 300 --method recurrence", "plain"): "f866c480e3d530439467dc4930f97fc8ccd6292dafed3c43170a91429a598661",
+    ("stable --n 300 --method recurrence", "csv"): "3b2fbf5374c88e4809fdd47ce2dffaf12d03c155e1ba3a4d313c1016ebb54f06",
+    ("stable --n 300 --method recurrence", "json"): "776cb6f126cde49bf2233b77e8528e4bc7f95cd048fa6f075e112d91fae2fd0f",
+    ("stable --n 300 --method closed", "plain"): "f866c480e3d530439467dc4930f97fc8ccd6292dafed3c43170a91429a598661",
+    ("stable --n 300 --method closed", "csv"): "3b2fbf5374c88e4809fdd47ce2dffaf12d03c155e1ba3a4d313c1016ebb54f06",
+    ("stable --n 300 --method closed", "json"): "776cb6f126cde49bf2233b77e8528e4bc7f95cd048fa6f075e112d91fae2fd0f",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(_TABLE_OUTPUT_SHA256))
+def test_streamed_table_output_is_pinned(capsys, command, fmt):
+    code, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_OUTPUT_SHA256[command, fmt]
+
+
+@pytest.mark.parametrize(
+    "module, builder, argv, bad_rows, printed",
+    [
+        (cli, "catalan_rows", ["triangle", "catalan", "--rows", "3"], [(0,)], ""),
+        (cli, "borel_rows", ["triangle", "borel", "--rows", "3"], [(0,)], ""),
+        (rlseq, "_s_rows", ["stable", "--n", "3"], [(0,)], ""),
+        (cli, "catalan_rows", ["triangle", "catalan", "--rows", "3"], [(1,), (1, 0)], "1\n"),
+        (rlseq, "_s_rows", ["stable", "--n", "3"], [(1,), (0, 1), (0, 0, 1)], "1\n1\n"),
+    ],
+    ids=["catalan-row-0", "borel-row-0", "stable-row-0", "catalan-row-1", "stable-row-2"],
+)
+def test_a_row_that_fails_the_table_check_stops_the_output(
+    capsys, monkeypatch, module, builder, argv, bad_rows, printed
+):
+    monkeypatch.setattr(module, builder, lambda n: iter(bad_rows))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: row {len(bad_rows) - 1} has an entry < 1\n"
+    # rows stream as they pass the check, and a bad first row prints nothing
+    assert out == printed
+
+
+def test_walks_prints_answers_past_the_int_str_limit(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = get_limit()
+    code, out, err = run(capsys, "walks", "--n", "5000", "--delta", "3", "--method", "gf")
+    assert (code, err) == (0, "")
+    assert get_limit() == before
+    digits = out.strip()
+    assert len(digits) == 4511
+    # Decimal reads a string of any length, whatever the int -> str limit
+    assert Decimal(digits) == gf_walk_counts(3, 5000)[5000]
+
+
+def _child(argv, **kwargs):
+    """Run ``python`` with ``argv`` against this checkout's treewalks."""
+    env = dict(os.environ, PYTHONPATH=str(Path(treewalks.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    argv = ["-m", "treewalks.cli", "triangle", "catalan", "--rows", "800"]
+    proc = _child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    assert head.startswith(b"1\n1 1\n1 2 2\n")
+
+
+_PEAK_RSS_SCRIPT = """
+import sys
+from treewalks import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(code, hwm.split()[1], file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize(
+    "argv", [["stable", "--n", "600", "--format", "json"], ["triangle", "catalan", "--rows", "600"]]
+)
+def test_tables_stream_in_bounded_memory(argv):
+    proc = _child(
+        ["-c", _PEAK_RSS_SCRIPT, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+    )
+    _, err = proc.communicate(timeout=120)
+    code, peak_kb = map(int, err.split())
+    # a whole table at 600 rows peaks at 93-134 MB, a streamed one near 20 MB
+    assert code == 0 and peak_kb < 50 * 1024
 
 
 # every subcommand, an argparse error, and a default that follows an override
