@@ -36,11 +36,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     rows = catalan_rows if args.kind == "catalan" else borel_rows
     sys.stdout.writelines(format_rows(checked_rows(rows(args.rows), args.kind), args.format))
     if args.check_fixture:
-        try:
-            fixture = fx.triangle_rows(args.kind, args.fixture_dir)
-        except (OSError, ValueError) as exc:
-            print(f"fixture unreadable: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
+        fixture = fx.TRIANGLES[args.kind]
         depth = min(args.rows + 1, len(fixture))
         for n, (row, expected) in enumerate(zip(rows(depth - 1), fixture)):
             if list(row) != expected:
@@ -71,14 +67,18 @@ def _cmd_walks(args: argparse.Namespace) -> int:
     n, delta = args.n, args.delta
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if args.rational and args.method not in ("gf", "all"):
+        raise ValueError("--rational needs --method gf or all")
     methods = (
         ["components", "catalan", "borel", "gf", "oracle"]
         if args.method == "all"
         else [args.method]
     )
     if "gf" in methods and delta < 2:
-        if args.method != "all" or delta < 1:
+        if args.method != "all":
             raise ValueError("the gf method requires delta >= 2")
+        if delta < 1:
+            raise ValueError(f"delta must be >= 1, got {delta}")
         methods.remove("gf")
         print("gf skipped (requires delta >= 2)", file=sys.stderr)
     values: dict[str, int] = {}
@@ -117,11 +117,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     else:
         print(poly.render(ascii_only=args.ascii))
     if args.check_fixture:
-        try:
-            fixture = fx.polynomial_coefficients(args.fixture_dir)
-        except (OSError, ValueError) as exc:
-            print(f"fixture unreadable: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
+        fixture = fx.WALK_POLYNOMIALS
         if args.n not in fixture:
             print(
                 f"fixture check: polynomial n={args.n} is outside the fixture's "
@@ -165,12 +161,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for option, value in bounds.items():
         if value < 1:
             raise ValueError(f"{option} must be >= 1, got {value}")
-    results = verify.run_all(
-        max_n=args.max_n,
-        max_delta=args.max_delta,
-        enum_cap=args.enum_cap,
-        fixture_dir=args.fixture_dir,
-    )
+    results = verify.run_all(max_n=args.max_n, max_delta=args.max_delta, enum_cap=args.enum_cap)
     width = max(len(r.name) for r in results)
     for r in sorted(results, key=lambda r: r.name):
         status = "PASS" if r.passed else "FAIL"
@@ -202,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True, help="largest row index N")
     add_format(p)
     p.add_argument("--check-fixture", action="store_true")
-    p.add_argument("--fixture-dir", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("walks", help="count closed walks of length 2n")
@@ -226,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("--ascii", action="store_true", help="render with 'd' and '^'")
     p.add_argument("--check-fixture", action="store_true")
-    p.add_argument("--fixture-dir", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("stable", help="component-count table S(n, k)")
@@ -242,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=12)
     p.add_argument("--max-delta", type=int, default=6)
     p.add_argument("--enum-cap", type=int, default=8)
-    p.add_argument("--fixture-dir", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from pathlib import Path
 
 from treewalks import _kernel, rlseq
 from treewalks import fixtures as fx
@@ -230,32 +229,26 @@ def check_return_corollaries(max_n: int, max_delta: int) -> CheckResult:
     return _passed(name, max_delta * max_n * (max_n + 1) // 2)
 
 
-def check_fixtures(fixture_dir: str | Path | None = None) -> CheckResult:
+def check_fixtures() -> CheckResult:
     """Recompute every bundled golden table and diff entry-for-entry."""
     name = "golden fixtures"
-    try:
-        cat = fx.triangle_rows("catalan", fixture_dir)
-        bor = fx.triangle_rows("borel", fixture_dir)
-        polys = fx.polynomial_coefficients(fixture_dir)
-        mults = fx.k_return_multipliers(fixture_dir)
-    except (OSError, ValueError) as exc:
-        return CheckResult(name, False, f"fixture unreadable: {exc}")
+    cat, bor = fx.TRIANGLES["catalan"], fx.TRIANGLES["borel"]
+    polys, mults = fx.WALK_POLYNOMIALS, fx.K_RETURN_MULTIPLIERS
     for kind, table, fixture in (("catalan", catalan_table, cat), ("borel", borel_table, bor)):
         rows = table(len(fixture) - 1).rows
-        # the reader holds the fixture to rows 0..7 with n + 1 entries each
         for n, (row, expected) in enumerate(zip(rows, fixture, strict=True)):
             for k, (c, f) in enumerate(zip(row, expected, strict=True)):
                 if c != f:
                     return CheckResult(
                         name, False, f"{kind} triangle (n={n}, k={k}): computed {c}, fixture {f}"
                     )
-    for n, expected in sorted(polys.items()):
+    for n, expected in polys.items():
         got = walks_polynomial(n).coefficient_list()
         if got != expected:
             return CheckResult(
                 name, False, f"polynomial n={n}: computed {got}, fixture {expected}"
             )
-    for (n, k), m in sorted(mults.items()):
+    for (n, k), m in mults.items():
         got_m = catalan_entry(n - 1, n - k)
         if got_m != m:
             return CheckResult(
@@ -265,12 +258,7 @@ def check_fixtures(fixture_dir: str | Path | None = None) -> CheckResult:
     return _passed(name, entries)
 
 
-def run_all(
-    max_n: int = 12,
-    max_delta: int = 6,
-    enum_cap: int = 8,
-    fixture_dir: str | Path | None = None,
-) -> list[CheckResult]:
+def run_all(max_n: int = 12, max_delta: int = 6, enum_cap: int = 8) -> list[CheckResult]:
     return [
         check_method_agreement(max_n, max_delta),
         check_s_table(max_n, enum_cap),
@@ -278,5 +266,5 @@ def run_all(
         check_borel_consistency(max(max_n, 30)),
         check_central_binomial(max_n),
         check_return_corollaries(min(max_n, 12), max_delta),
-        check_fixtures(fixture_dir),
+        check_fixtures(),
     ]

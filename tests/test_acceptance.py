@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from math import comb
 
 from treewalks import cli, rlseq
+from treewalks import fixtures as fx
 from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.series import gf_walk_counts
 from treewalks.triangles import (
@@ -87,6 +88,8 @@ def test_criterion_1_paper_table_reproduction(capsys):
     with criterion(1, "triangle-table reproduction", budget_s=1.0):
         assert [list(r) for r in catalan_table(7).rows] == CATALAN_ROWS
         assert [list(r) for r in borel_table(7).rows] == BOREL_ROWS
+        # the bundled tables that verify and --check-fixture read hold the same values
+        assert fx.TRIANGLES == {"catalan": CATALAN_ROWS, "borel": BOREL_ROWS}
         # through the CLI surface as well
         assert cli.main(["triangle", "catalan", "--rows", "7", "--check-fixture"]) == 0
         assert cli.main(["triangle", "borel", "--rows", "7", "--check-fixture"]) == 0
@@ -95,6 +98,8 @@ def test_criterion_1_paper_table_reproduction(capsys):
 
 def test_criterion_2_polynomial_reproduction():
     with criterion(2, "polynomial reproduction", budget_s=1.0):
+        assert fx.WALK_POLYNOMIALS == POLY_TABLE
+        assert fx.K_RETURN_MULTIPLIERS == K_RETURN_TABLE
         for n, coeffs in POLY_TABLE.items():
             assert walks_polynomial(n).coefficient_list() == coeffs
         for (n, k), mult in K_RETURN_TABLE.items():

@@ -5,11 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 from decimal import Decimal
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -101,6 +99,28 @@ def test_walks_all_delta1_skips_gf(capsys):
     assert [line.split() for line in out.splitlines()] == [
         [m, "1"] for m in ("components", "catalan", "borel", "oracle")
     ]
+    assert err == "gf skipped (requires delta >= 2)\n"
+
+
+@pytest.mark.parametrize("delta", ["0", "-3"])
+def test_walks_all_below_delta_1_is_a_domain_error(capsys, delta):
+    code, out, err = run(capsys, "walks", "--n", "4", "--delta", delta, "--method", "all")
+    assert code == 2 and out == ""
+    assert err == f"error: delta must be >= 1, got {delta}\n"
+    code, out, err = run(capsys, "walks", "--n", "4", "--delta", delta, "--method", "gf")
+    assert code == 2 and out == ""
+    assert err == "error: the gf method requires delta >= 2\n"
+
+
+def test_walks_rational_without_gf_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "walks", "--n", "5", "--delta", "3", "--rational")
+    assert code == 2 and out == ""
+    assert err == "error: --rational needs --method gf or all\n"
+    # all without gf already says on stderr that gf did not run
+    code, out, err = run(
+        capsys, "walks", "--n", "4", "--delta", "1", "--method", "all", "--rational"
+    )
+    assert code == 0 and len(out.splitlines()) == 4
     assert err == "gf skipped (requires delta >= 2)\n"
 
 
@@ -196,6 +216,8 @@ def test_every_verify_check_counts_its_cases():
     assert len(results) == 7
     for r in results:
         assert r.passed and r.cases > 0, r
+    # every entry of the bundled tables: 36 + 36 triangle, 21 polynomial, 21 multiplier
+    assert (results[-1].name, results[-1].cases) == ("golden fixtures", 114)
 
 
 def test_a_check_that_compares_nothing_fails():
@@ -228,71 +250,23 @@ def test_verify_trivial_bounds(capsys):
 
 
 @pytest.fixture()
-def corrupt_fixture_dir(tmp_path):
-    src = resources.files(fx.__package__)
-    for name in fx.FIXTURE_NAMES:
-        shutil.copy(str(src / name), tmp_path / name)
-    path = tmp_path / "borel_triangle.csv"
-    lines = path.read_text().splitlines()
-    lines[3] = lines[3].replace("28", "29")
-    path.write_text("\n".join(lines) + "\n")
-    return tmp_path
+def corrupt_borel_fixture(monkeypatch):
+    rows = [list(row) for row in fx.TRIANGLES["borel"]]
+    rows[3][1] = 29  # B(3, 1) is 28
+    monkeypatch.setitem(fx.TRIANGLES, "borel", rows)
 
 
-def test_verify_corrupted_fixture_fails_with_location(capsys, corrupt_fixture_dir):
-    code, out, _ = run(capsys, "verify", "--max-n", "4", "--max-delta", "2",
-                       "--enum-cap", "4", "--fixture-dir", str(corrupt_fixture_dir))
+def test_verify_corrupted_fixture_fails_with_location(capsys, corrupt_borel_fixture):
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--max-delta", "2", "--enum-cap", "4")
     assert code == 1
     (fail_line,) = [l for l in out.splitlines() if "FAIL" in l]
     assert "golden fixtures" in fail_line
     assert "n=3" in fail_line and "29" in fail_line
 
 
-def test_triangle_corrupted_fixture_exit_1(capsys, corrupt_fixture_dir):
-    code, _, err = run(capsys, "triangle", "borel", "--rows", "7",
-                       "--check-fixture", "--fixture-dir", str(corrupt_fixture_dir))
+def test_triangle_corrupted_fixture_exit_1(capsys, corrupt_borel_fixture):
+    code, _, err = run(capsys, "triangle", "borel", "--rows", "7", "--check-fixture")
     assert code == 1 and "mismatch" in err
-
-
-# each fixture file: its reader, and the command other than verify that reads it
-_FIXTURE_USERS = {
-    "catalan_triangle.csv": (
-        lambda d: fx.triangle_rows("catalan", d),
-        ["triangle", "catalan", "--rows", "3", "--check-fixture"],
-    ),
-    "borel_triangle.csv": (
-        lambda d: fx.triangle_rows("borel", d),
-        ["triangle", "borel", "--rows", "3", "--check-fixture"],
-    ),
-    "walk_polynomials.csv": (fx.polynomial_coefficients, ["poly", "--n", "4", "--check-fixture"]),
-    "k_return_multipliers.csv": (fx.k_return_multipliers, None),
-}
-
-
-@pytest.mark.parametrize("name", fx.FIXTURE_NAMES)
-@pytest.mark.parametrize("damage", ["truncated", "empty", "missing directory"])
-def test_fixture_that_covers_too_little_is_unreadable(capsys, tmp_path, name, damage):
-    fixture_dir = tmp_path / "fixtures"
-    if damage != "missing directory":
-        fixture_dir.mkdir()
-        src = resources.files(fx.__package__)
-        for fname in fx.FIXTURE_NAMES:
-            shutil.copy(str(src / fname), fixture_dir / fname)
-        path = fixture_dir / name
-        kept = path.read_text().splitlines()[:3] if damage == "truncated" else []
-        path.write_text("".join(line + "\n" for line in kept))
-    read, argv = _FIXTURE_USERS[name]
-    with pytest.raises((OSError, ValueError)):
-        read(fixture_dir)
-    code, out, _ = run(capsys, "verify", "--max-n", "2", "--max-delta", "1",
-                       "--enum-cap", "2", "--fixture-dir", str(fixture_dir))
-    assert code == 1
-    (fail_line,) = [l for l in out.splitlines() if "FAIL" in l]
-    assert fail_line.startswith("golden fixtures") and "fixture unreadable" in fail_line
-    if argv is not None:
-        code, out, err = run(capsys, *argv, "--fixture-dir", str(fixture_dir))
-        assert code == 1 and out != ""
-        assert err.startswith("fixture unreadable: ")
 
 
 def test_usage_error_unknown_command():
