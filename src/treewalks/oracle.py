@@ -2,10 +2,19 @@
 
 Two routes, independent of every closed form under test:
 
-  * a dynamic program on distance-from-root states (on a tree the walk's
-    future depends only on the current depth, so tracking depth alone is
-    exact: every vertex at depth d >= 1 has one edge toward the root and
-    delta - 1 away, and the root has delta away),
+  * a dynamic program on distance-from-root states.  On a tree a walk's
+    future depends only on its current depth: every vertex at depth
+    d >= 1 has one edge toward the root and delta - 1 away, and the root
+    has delta away.  The adjacency matrix A is symmetric, so
+
+        A^(2n)[r, r] = sum_v (A^n[r, v])^2 = sum_d N_d a_d(n)^2,
+
+    where a_d(n) counts walks of length n from the root r to one fixed
+    vertex at depth d, and N_0 = 1, N_d = delta (delta-1)^(d-1) counts
+    the vertices at depth d.  The DP therefore runs n steps, not 2n,
+    on integers of half the bit length (the symmetric-walk view of
+    Kesten, Trans. AMS 92, 1959, and McKay, Linear Algebra Appl. 40,
+    1981),
   * brute-force enumeration of Dyck-path shapes weighted by
     delta^k (delta-1)^(n-k) for a shape with k components.
 """
@@ -13,6 +22,7 @@ Two routes, independent of every closed form under test:
 from __future__ import annotations
 
 from itertools import zip_longest
+from operator import add
 
 from treewalks import _kernel
 from treewalks.rlseq import ENUM_CAP_DEFAULT, check_enumeration_cap
@@ -28,22 +38,29 @@ def dp_walk_count_by_length(length: int, delta: int) -> int:
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     _check(delta)
-    # counts[d] = walks of the current length ending at distance d.  Only
-    # depths of the step's parity are reached; a depth beyond
-    # min(step, length - step) can no longer get back by the last step.
+    if length % 2:
+        return 0  # the tree is bipartite
+    n = length // 2
+    # counts[i] = a_d, the walks of `step` steps from the root to one
+    # fixed vertex at depth d = 2i + step % 2; no other depth is reached.
+    # A step sets a_0 <- delta a_1 and a_d <- a_(d-1) + (delta-1) a_(d+1)
+    # for d >= 1; `up` holds the latter for every depth d >= 1 of the new
+    # parity, and the root is prepended on even steps.
+    scale = (delta - 1).__mul__
     counts = [1]
-    for step in range(1, length + 1):
-        top = min(step, length - step)
-        nxt = [0] * (top + 1)
-        for d in range(step % 2, top + 1, 2):
-            down = counts[d + 1] if d + 1 < len(counts) else 0
-            if d == 0:
-                nxt[0] = down
-            else:
-                w = delta if d == 1 else delta - 1
-                nxt[d] = w * counts[d - 1] + down
-        counts = nxt
-    return counts[0]
+    for step in range(1, n + 1):
+        up = [*map(add, counts, map(scale, counts[1:])), counts[-1]]
+        counts = [delta * counts[0], *up] if step % 2 == 0 else up
+    # weight each depth by N_d; N_(d+2) = N_d (delta-1)^2 for d >= 1
+    two_down = (delta - 1) ** 2
+    if n % 2:
+        total, weight, rest = 0, delta, counts
+    else:
+        total, weight, rest = counts[0] ** 2, delta * (delta - 1), counts[1:]
+    for a in rest:
+        total += weight * a * a
+        weight *= two_down
+    return total
 
 
 def dp_walk_count(n: int, delta: int) -> int:

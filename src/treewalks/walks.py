@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from treewalks.exact import ExactnessError
+from treewalks.exact import ExactnessError, exact_div
 from treewalks.rlseq import _s_rows
 from treewalks.triangles import borel_row, catalan_entry, catalan_number
 
@@ -50,7 +50,11 @@ class DeltaPolynomial:
         return max(self.coefficients)
 
     def evaluate(self, delta: int) -> int:
-        return sum(c * delta**l for l, c in self.coefficients.items())
+        """Value at ``delta``, by Horner's rule from the top coefficient."""
+        h = 0
+        for c in self.coefficient_list():
+            h = h * delta + c
+        return h * delta  # no constant term
 
     def coefficient_list(self) -> list[int]:
         """Coefficients exponent-descending, degree down to 1."""
@@ -87,21 +91,36 @@ def walks_via_components(n: int, delta: int) -> int:
     """Closed walks of length 2n via the component-count recurrence.
 
     Weights row n of the S recurrence, S(n, k) = cumulative_s(n-1, k),
-    holding one row at a time.
+    holding one row at a time.  The weighting is homogeneous Horner,
+    h <- h delta + S(n, k) (delta-1)^(n-k) for k = n down to 1, with the
+    power advanced by one product per term, so W = delta h.
     """
     _check_domain(n, delta)
     for row in _s_rows(n):
         pass
-    return sum(delta**k * (delta - 1) ** (n - k) * row[k] for k in range(1, n + 1))
+    h, power = 0, 1  # power = (delta-1)^(n-k)
+    for k in range(n, 0, -1):
+        h = h * delta + row[k] * power
+        power *= delta - 1
+    return h * delta
 
 
 def walks_via_catalan(n: int, delta: int) -> int:
-    """Closed walks of length 2n via Catalan-triangle entries."""
+    """Closed walks of length 2n via Catalan-triangle entries.
+
+    W = sum_j delta^(n-j) (delta-1)^j C(n-1, j).  Row n - 1 is stepped by
+    the exact ratio C(m, j) / C(m, j-1) = (m-j+1)(m+j) / ((m-j+2) j) and
+    weighted by homogeneous Horner, h <- h delta + C(n-1, j) (delta-1)^j,
+    so W = delta h.
+    """
     _check_domain(n, delta)
-    return sum(
-        delta**k * (delta - 1) ** (n - k) * catalan_entry(n - 1, n - k)
-        for k in range(1, n + 1)
-    )
+    m = n - 1
+    h = entry = power = 1  # the j = 0 term; entry = C(m, j), power = (delta-1)^j
+    for j in range(1, n):
+        entry = exact_div(entry * ((m - j + 1) * (m + j)), (m - j + 2) * j)
+        power *= delta - 1
+        h = h * delta + entry * power
+    return h * delta
 
 
 def walks_via_borel(n: int, delta: int) -> int:

@@ -30,6 +30,35 @@ def test_odd_lengths_have_no_closed_walks():
             assert dp_walk_count_by_length(length, delta) == 0
 
 
+def _two_n_step_dp(length, delta):
+    """dp_walk_count_by_length as a 2n-step DP on walks ending at each depth."""
+    counts = [1]
+    for step in range(1, length + 1):
+        top = min(step, length - step)
+        nxt = [0] * (top + 1)
+        for d in range(step % 2, top + 1, 2):
+            down = counts[d + 1] if d + 1 < len(counts) else 0
+            if d == 0:
+                nxt[0] = down
+            else:
+                w = delta if d == 1 else delta - 1
+                nxt[d] = w * counts[d - 1] + down
+        counts = nxt
+    return counts[0]
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 7, 20])
+def test_half_length_dp_matches_two_n_step_dp(delta):
+    for length in range(121):
+        assert dp_walk_count_by_length(length, delta) == _two_n_step_dp(length, delta)
+
+
+@pytest.mark.parametrize("n", [250, 1000])
+@pytest.mark.parametrize("delta", [3, 20])
+def test_half_length_dp_matches_two_n_step_dp_at_large_n(n, delta):
+    assert dp_walk_count(n, delta) == _two_n_step_dp(2 * n, delta)
+
+
 def test_weighted_dyck_examples():
     assert weighted_dyck_count(2, 3) == 15  # 3^2 (RLRL) + 3*2 (RRLL)
     assert weighted_dyck_count(3, 2) == 20

@@ -8,7 +8,8 @@ import pytest
 
 from treewalks import verify
 from treewalks.oracle import dp_return_profile, dp_walk_count
-from treewalks.triangles import borel_entry_transform, catalan_number
+from treewalks.series import gf_walk_counts
+from treewalks.triangles import borel_entry_transform, catalan_entry, catalan_number
 from treewalks.walks import (
     first_return_count,
     second_return_count,
@@ -69,6 +70,27 @@ def test_three_way_equality_grid():
             assert a == b == c, (n, delta, a, b, c)
 
 
+def _per_term_walks(n, delta):
+    """W(2n) summed term by term from catalan_entry, with a power per term."""
+    return sum(
+        delta**k * (delta - 1) ** (n - k) * catalan_entry(n - 1, n - k)
+        for k in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("fn", [walks_via_catalan, walks_via_components])
+def test_horner_routes_match_per_term_sum(fn):
+    for n in range(1, 61):
+        for delta in range(1, 8):
+            assert fn(n, delta) == _per_term_walks(n, delta), (n, delta)
+
+
+@pytest.mark.parametrize("fn", [walks_via_catalan, walks_via_components])
+def test_horner_routes_match_gf_at_n1000(fn):
+    for delta in (2, 3, 7):
+        assert fn(1000, delta) == gf_walk_counts(delta, 1000)[1000]
+
+
 def test_agrees_with_dp_oracle():
     for n in range(1, 13):
         for delta in range(1, 7):
@@ -108,6 +130,14 @@ def test_polynomial_evaluation_matches_borel_route():
         poly = walks_polynomial(n)
         for delta in range(1, 8):
             assert poly.evaluate(delta) == walks_via_borel(n, delta)
+
+
+def test_polynomial_horner_evaluation_matches_per_term_sum():
+    for n in range(1, 31):
+        poly = walks_polynomial(n)
+        for delta in (-3, 0, 1, 2, 3, 7, 20):
+            per_term = sum(c * delta**l for l, c in poly.coefficients.items())
+            assert poly.evaluate(delta) == per_term, (n, delta)
 
 
 def test_polynomial_rendering():
