@@ -14,9 +14,10 @@ and is undefined at n = 0).  The correct denominator is n + 1:
 
 We implement the corrected form and check exact divisibility; the
 transform definition above is kept as an independent second route and
-the two are required to agree everywhere.  ``borel_row`` evaluates the
-same transform for a whole row at once; it is what the walk polynomial
-uses.  ``borel_rows`` is a third route, a row recurrence.
+the two are required to agree everywhere.  ``borel_row`` builds a whole
+row from Cat(n) by the exact ratio of consecutive entries of the
+corrected form, in O(n) products and exact divisions; it is what the
+walk polynomial uses.  ``borel_rows`` is a third route, a row recurrence.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import accumulate
 from math import comb
 from operator import add
 
-from treewalks.exact import exact_div
+from treewalks.exact import ExactnessError, exact_div
 
 
 class TriangleIndexError(ValueError):
@@ -66,21 +67,24 @@ def borel_entry_transform(n: int, k: int) -> int:
 
 
 def borel_row(n: int) -> list[int]:
-    """Row n of Borel's triangle, B(n, k) = sum_s binom(s, k) C(n, s), k = 0..n.
+    """Row n of Borel's triangle, B(n, 0..n), in O(n) products and exact divisions.
 
-    Catalan's row n is built once, by the exact ratio
-    C(n, s) / C(n, s-1) = (n-s+1)(n+s) / ((n-s+2) s).  The transform is
-    then Horner's rule for sum_s C(n, s) (1+x)^s: each multiplication by
-    (1 + x) is Pascal's rule, which advances binom(s, k) along s by exact
-    additions.  O(n^2) additions in all.
+    The row starts from B(n, n) = Cat(n) and steps down by the exact ratio
+    of the corrected closed form,
+
+        B(n, k) = B(n, k+1) (k+1)(n+k+3) / ((n-k)(n+k+1)),
+
+    each step a checked division.  A start value off by a constant factor
+    would pass every division, so the far end is checked against the
+    independent identity B(n, 0) = Cat(n+1).
     """
     _check_index(n, 0)
-    cat = [1]
-    for s in range(1, n + 1):
-        cat.append(exact_div(cat[-1] * (n - s + 1) * (n + s), (n - s + 2) * s))
-    row: list[int] = []
-    for c in reversed(cat):
-        row = list(map(add, row + [0], [c] + row))  # (1 + x) * row + c
+    row = [catalan_number(n)]
+    for k in range(n - 1, -1, -1):
+        row.append(exact_div(row[-1] * ((k + 1) * (n + k + 3)), (n - k) * (n + k + 1)))
+    if row[-1] != catalan_number(n + 1):
+        raise ExactnessError(f"B({n}, 0) = {row[-1]} is not Catalan({n + 1})")
+    row.reverse()
     return row
 
 

@@ -5,7 +5,9 @@ W(2n, delta) is computed by three mutually independent closed forms:
   * components route:  sum_k delta^k (delta-1)^(n-k) * |{paths of
     semi-length n-1 with >= k-1 components}|
   * Catalan route:     sum_k delta^k (delta-1)^(n-k) * C(n-1, n-k)
-  * Borel route:       sum_l (-1)^(n-l) * B(n-1, n-l) * delta^l
+  * Borel route:       sum_l (-1)^(n-l) * B(n-1, n-l) * delta^l, with
+                       Borel row n-1 from ``borel_row``: O(n) exact
+                       ratio steps down from B(n-1, n-1) = Cat(n-1)
 
 All three must agree exactly; the test grid enforces it against the DP
 and generating-function oracles as well.

@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # exception; run in a child interpreter so that -O is really in force.
 SCRIPT = r"""
 import sys
-from treewalks import series, verify, walks
+from treewalks import series, triangles, verify, walks
 from treewalks.exact import ExactnessError, exact_div
 
 def raises(fn, *args):
@@ -43,6 +43,10 @@ verify.gf_walk_counts = lambda delta, N: [1, 2, 7] + [0] * (N - 2)  # W(4, 2) = 
 result = verify.check_method_agreement(3, 3)
 checks["gf quadratic identity"] = not result.passed and "u^2, delta=2" in result.detail
 verify.gf_walk_counts = real
+real = triangles.catalan_number
+triangles.catalan_number = lambda m: 2 * real(m) if m == 10 else real(m)
+checks["Borel row far end"] = raises(triangles.borel_row, 10)
+triangles.catalan_number = real
 walks.catalan_number = lambda m: 0
 checks["diagonal identity"] = raises(walks.first_return_count, 3, 3)
 failed = [label for label, ok in checks.items() if not ok]

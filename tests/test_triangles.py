@@ -14,6 +14,7 @@ from treewalks.triangles import (
     borel_entry_explicit,
     borel_entry_transform,
     borel_row,
+    borel_rows,
     borel_table,
     catalan_entry,
     catalan_number,
@@ -125,6 +126,13 @@ def test_borel_table_recurrence_equals_row_and_entry_routes():
         assert borel_table(N).rows == full[: N + 1]
     with pytest.raises(TriangleIndexError):
         borel_table(-1)
+
+
+def test_borel_row_equals_recurrence_at_large_n():
+    wanted = {100, 249, 500}
+    for n, built in enumerate(borel_rows(max(wanted))):
+        if n in wanted:
+            assert list(built) == borel_row(n), n
 
 
 def test_published_borel_formula_denominator_is_wrong():

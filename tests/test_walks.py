@@ -125,11 +125,49 @@ def test_polynomial_structure():
             assert c != 0 and (c > 0) == ((n - l) % 2 == 0)
 
 
-def test_polynomial_evaluation_matches_borel_route():
-    for n in range(1, 15):
+def test_polynomial_evaluation_matches_dp_oracle():
+    for n in range(1, 41):
         poly = walks_polynomial(n)
-        for delta in range(1, 8):
-            assert poly.evaluate(delta) == walks_via_borel(n, delta)
+        for delta in (1, 2, 3, 7, 20):
+            assert poly.evaluate(delta) == dp_walk_count(n, delta), (n, delta)
+
+
+def _dp_walk_polynomials(max_n):
+    """W(2n) for n = 0..max_n as ascending coefficient lists in Z[delta].
+
+    A distance DP whose states are polynomials: a[d] counts the walks so
+    far that end at depth d.  A step away from the root multiplies by
+    delta at depth 0 and by delta - 1 elsewhere; a step back is one move.
+    Depths past the number of steps left are dropped, so a kept state has
+    at most max_n steps away and fits in max_n + 1 coefficients.
+    """
+    size = max_n + 1
+    a = [[1] + [0] * max_n]
+    counts = [a[0]]
+    for s in range(1, 2 * max_n + 1):
+        b = []
+        for d in range(min(s, 2 * max_n - s) + 1):
+            p = list(a[d + 1]) if d + 1 < len(a) else [0] * size
+            if d:
+                q = a[d - 1]
+                for i in range(max_n):
+                    p[i + 1] += q[i]  # delta * q
+                if d > 1:
+                    for i in range(size):
+                        p[i] -= q[i]  # (delta - 1) * q
+            b.append(p)
+        a = b
+        if s % 2 == 0:
+            counts.append(a[0])
+    return counts
+
+
+def test_polynomial_coefficients_match_polynomial_dp():
+    counts = _dp_walk_polynomials(60)
+    for n in range(1, 61):
+        dp = counts[n]
+        assert dp[0] == 0 and not any(dp[n + 1:]), n
+        assert walks_polynomial(n).coefficient_list() == dp[n:0:-1], n
 
 
 def test_polynomial_horner_evaluation_matches_per_term_sum():
