@@ -14,14 +14,17 @@ Two routes, independent of every closed form under test:
     the vertices at depth d.  The DP therefore runs n steps, not 2n,
     on integers of half the bit length (the symmetric-walk view of
     Kesten, Trans. AMS 92, 1959, and McKay, Linear Algebra Appl. 40,
-    1981),
+    1981).  The return profile runs the same n steps with each a_d a
+    polynomial in a return marker x, packed into one integer with a
+    B-bit slot per power of x, B = n (2 + delta.bit_length()); it joins
+    the halves as a_0(x)^2 (n even) + x sum_(d>=1) N_d a_d(x)^2.  Every
+    coefficient is at most 4^n delta^n < 2^B, so no slot carries,
   * brute-force enumeration of Dyck-path shapes weighted by
     delta^k (delta-1)^(n-k) for a shape with k components.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from operator import add
 
 from treewalks import _kernel
@@ -88,28 +91,56 @@ def dp_return_profile(n: int, delta: int) -> list[int]:
     """Closed walks of length 2n by exact number of returns to the root.
 
     Entry k-1 of the result counts walks with exactly k returns,
-    k = 1..n.  Computed by the distance DP augmented with a return
-    counter; independent of the triangle formulas.
+    k = 1..n.  Computed by the distance DP with a return marker x;
+    independent of the triangle formulas.
+
+    a_d(x) counts walks of n steps from the root to one fixed vertex at
+    depth d, with x marking each step into the root.  A closed walk is a
+    first half to some vertex v followed by the reverse of a second half
+    to v.  The returns of the second half fall at times 0..n-1 of its
+    reverse: its own returns, plus one for time 0, minus one if v is the
+    root.  Hence
+
+        P(x) = a_0(x)^2 (n even only) + x * sum_(d>=1) N_d a_d(x)^2,
+
+    and entry k-1 is the coefficient of x^k.  Each polynomial is packed
+    into one integer with a B-bit slot per power of x (Kronecker
+    substitution), B = n (2 + delta.bit_length()).  No carry crosses a
+    slot.  Every coefficient that occurs counts either walks of at most
+    n steps from the root (at most delta^n) or closed walks of length
+    2n, and all terms are non-negative.  A closed walk of length 2n is
+    an RL-word of length 2n (at most 4^n of them) with at most delta
+    choices for each of its n R steps, so a coefficient is at most
+    4^n delta^n < 2^(2n) 2^(n delta.bit_length()) = 2^B.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check(delta)
-    # rows[d][r] = walks ending at distance d with r returns so far.  Only
-    # depths of the step's parity are reached; a depth beyond
-    # min(step, 2n - step) can no longer get back by step 2n.  r returns
-    # and the climb to d take 2r + d <= step steps, so rows[d] holds
-    # r = 0..(step - d)/2 only: the row from depth d - 1 is one longer
-    # than the row from d + 1.
-    rows = [[1]]
-    for step in range(1, 2 * n + 1):
-        top = min(step, 2 * n - step)
-        nxt: list[list[int]] = [[]] * (top + 1)
-        for d in range(step % 2, top + 1, 2):
-            above = rows[d + 1] if d + 1 < len(rows) else []
-            if d == 0:
-                nxt[0] = [0, *above]  # stepping down to the root is a return
-            else:
-                w = delta if d == 1 else delta - 1
-                nxt[d] = [w * a + b for a, b in zip_longest(rows[d - 1], above, fillvalue=0)]
-        rows = nxt
-    return rows[0][1:]
+    bits = n * (2 + delta.bit_length())
+    # counts[i] = a_d(x) at depth d = 2i + step % 2, as in
+    # dp_walk_count_by_length; a step into the root is a return, so it
+    # multiplies by delta x.
+    scale = (delta - 1).__mul__
+    counts = [1]
+    for step in range(1, n + 1):
+        up = [*map(add, counts, map(scale, counts[1:])), counts[-1]]
+        counts = [delta * counts[0] << bits, *up] if step % 2 == 0 else up
+    # weight each depth by N_d; N_(d+2) = N_d (delta-1)^2 for d >= 1
+    two_down = (delta - 1) ** 2
+    if n % 2:
+        root, weight, rest = 0, delta, counts
+    else:
+        root, weight, rest = counts[0] ** 2, delta * (delta - 1), counts[1:]
+    away = 0
+    for a in rest:
+        away += weight * (a * a)
+        weight *= two_down
+    # a walk into the root has returned at least once, so root's slot 0
+    # is empty; slot k-1 of `packed` is the coefficient of x^k in P
+    packed = (root >> bits) + away
+    mask = (1 << bits) - 1
+    profile = []
+    for _ in range(n):
+        profile.append(packed & mask)
+        packed >>= bits
+    return profile

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treewalks.oracle import (
     dp_return_profile,
@@ -11,6 +13,7 @@ from treewalks.oracle import (
     weighted_dyck_count,
 )
 from treewalks.rlseq import EnumerationCapError
+from treewalks.walks import walks_with_k_returns
 
 
 def test_dp_base_cases():
@@ -135,6 +138,34 @@ def test_trimmed_return_profile_matches_full_width_dp_at_n80():
     profile = dp_return_profile(80, 20)
     assert len(profile) == 80
     assert profile == _full_width_return_profile(80, 20)
+
+
+# B = n (2 + delta.bit_length()) has the least slack just below a power of two
+@pytest.mark.parametrize("delta", [3, 7, 15, 31, 255])
+def test_packed_return_profile_slot_width(delta):
+    for n in range(1, 41):
+        assert dp_return_profile(n, delta) == _full_width_return_profile(n, delta)
+
+
+@pytest.mark.parametrize("n", [80, 120])
+@pytest.mark.parametrize("delta", [15, 255])
+def test_packed_return_profile_slot_width_at_large_n(n, delta):
+    assert dp_return_profile(n, delta) == _full_width_return_profile(n, delta)
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+def test_packed_return_profile_at_small_degree(delta):
+    for n in range(1, 61):
+        assert dp_return_profile(n, delta) == _full_width_return_profile(n, delta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 2000))
+def test_packed_return_profile_matches_corollaries(n, delta):
+    profile = dp_return_profile(n, delta)
+    assert sum(profile) == dp_walk_count(n, delta)
+    for k in range(1, n + 1):
+        assert profile[k - 1] == walks_with_k_returns(n, k, delta)
 
 
 def test_domain_errors():

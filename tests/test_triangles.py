@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from treewalks import verify
+from treewalks.rlseq import s_table_recurrence
 from treewalks.triangles import (
     TriangleIndexError,
     TriangleTable,
@@ -192,6 +193,16 @@ def test_json_round_trip():
     assert parsed == [[str(e) for e in row] for row in table.rows]
     assert json.dumps(parsed) + "\n" == payload
     assert [[int(e) for e in row] for row in parsed] == [list(r) for r in table.rows]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [catalan_table(60).rows, borel_table(60).rows, s_table_recurrence(60).rows],
+    ids=["catalan", "borel", "s"],
+)
+def test_json_rows_are_json_dumps_text(rows):
+    expected = json.dumps([list(map(str, row)) for row in rows]) + "\n"
+    assert "".join(format_rows(rows, "json")) == expected
 
 
 def test_verify_borel_check_catches_a_wrong_entry(monkeypatch):

@@ -193,6 +193,14 @@ def test_polynomial_json():
     assert json.loads(walks_polynomial(4).to_json()) == ["14", "-28", "20", "-5"]
 
 
+def test_polynomial_json_is_json_dumps_text():
+    import json
+
+    for n in range(1, 61):
+        poly = walks_polynomial(n)
+        assert poly.to_json() == json.dumps(list(map(str, poly.coefficient_list())))
+
+
 def test_k_returns_table():
     for (n, k), mult in K_RETURN_TABLE.items():
         for delta in range(1, 7):
