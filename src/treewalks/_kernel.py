@@ -17,9 +17,11 @@ each, its tails in order gives the lexicographic order of whole paths.
 
 Cost: the halves are Dyck prefixes of length n, at most C(n, n/2) of
 them, built once.  ``dyck_paths`` then spends one OR and one join of two
-short return lists on each of the Catalan(n) paths; ``component_histogram``
-keeps only each tail's return count and spends one list increment on each
-(head, tail) pair, still one per path.
+short return lists on each of the Catalan(n) paths.  ``component_histogram``
+enumerates every half but no whole path: it counts the heads by end
+height and return count, the tails of each height by return count, and
+multiplies the two counts: O(number of halves), plus O(n³) products of
+small counts.
 """
 
 from __future__ import annotations
@@ -70,17 +72,23 @@ def component_histogram(n: int) -> list[int]:
 
     Returns a list ``hist`` of length n+1 where ``hist[k]`` is the number
     of paths with exactly k components; ``hist[0]`` is 1 only for n = 0
-    (the empty path).  Every (head, tail) pair adds one to the bin of its
-    summed return counts, so each path is still counted on its own.
+    (the empty path).  Every half is enumerated, the whole paths are not:
+    the heads are counted by (end height h, return count a) as H_h[a], the
+    tails from each h by return count b as T_h[b], and since every
+    (head, tail) pair of one height is one path with a + b returns,
+    hist[k] = sum over h and a + b = k of H_h[a] T_h[b].
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    heads: dict[int, list[int]] = {}
+    for _, ends, height in _halves(n, 0, n, 0):
+        heads.setdefault(height, [0] * (n + 1))[len(ends)] += 1
     hist = [0] * (n + 1)
-    tail_counts: dict[int, list[int]] = {}
-    for _, head_ends, height in _halves(n, 0, n, 0):
-        if height not in tail_counts:
-            tail_counts[height] = [len(e) for _, e, _ in _halves(n, n, 2 * n, height)]
-        base = len(head_ends)
-        for c in tail_counts[height]:
-            hist[base + c] += 1
+    for height, head_counts in heads.items():
+        tail_counts = [0] * (n + 1)
+        for _, ends, _ in _halves(n, n, 2 * n, height):
+            tail_counts[len(ends)] += 1
+        for a, h in enumerate(head_counts):
+            for b, t in enumerate(tail_counts[: n + 1 - a]):
+                hist[a + b] += h * t
     return hist

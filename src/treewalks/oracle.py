@@ -19,8 +19,9 @@ Two routes, independent of every closed form under test:
     B-bit slot per power of x, B = n (2 + delta.bit_length()); it joins
     the halves as a_0(x)^2 (n even) + x sum_(d>=1) N_d a_d(x)^2.  Every
     coefficient is at most 4^n delta^n < 2^B, so no slot carries,
-  * brute-force enumeration of Dyck-path shapes weighted by
-    delta^k (delta-1)^(n-k) for a shape with k components.
+  * Dyck-path shapes counted by component number from enumerated
+    half-paths (every head and tail is enumerated, the whole paths are
+    not), weighted by delta^k (delta-1)^(n-k) for k components.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ number of returns to the root.
 S(n, k) = number of balanced legal sequences of length 2n with exactly
 k components.  Three routes to it live here:
 
-  * brute-force enumeration (``s_table_enumerated``),
+  * enumeration (``s_table_enumerated``): every half-path is enumerated,
+    and the whole paths are counted as products of head and tail counts,
   * the deletion-bijection recurrence S(n, k) = sum_{j>=k-1} S(n-1, j)
     (``s_table_recurrence``),
   * the Catalan-triangle closed form S(n, k) = C(n-1, n-k)
@@ -36,7 +37,9 @@ from itertools import accumulate
 from treewalks import _kernel
 from treewalks.triangles import TriangleTable, catalan_entry
 
-#: Default semi-length cap for brute-force enumeration (~2.7M paths).
+#: Default semi-length cap for enumeration.  Its ~2.7M whole paths bound
+#: only ``enumerate_sequences`` and the bijection check; the S-table and
+#: ``weighted_dyck_count`` enumerate half-paths alone.
 ENUM_CAP_DEFAULT = 14
 
 
@@ -189,7 +192,12 @@ def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[RLSequence]
 
 
 def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> TriangleTable:
-    """Brute-force S-table over all enumerated sequences up to length 2n."""
+    """S-table up to length 2n, counted from enumerated half-paths.
+
+    Row m is ``_kernel.component_histogram(m)``: every head (first m
+    letters) and every tail (last m letters) is enumerated, the whole
+    sequences are not.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_enumeration_cap(n, cap)

@@ -75,6 +75,12 @@ def test_weighted_dyck_matches_dp():
             assert weighted_dyck_count(n, delta) == dp_walk_count(n, delta)
 
 
+@pytest.mark.parametrize("n", [13, 14])
+@pytest.mark.parametrize("delta", [1, 2, 3, 7])
+def test_weighted_dyck_matches_dp_up_to_default_cap(n, delta):
+    assert weighted_dyck_count(n, delta) == dp_walk_count(n, delta)
+
+
 def test_weighted_dyck_cap():
     with pytest.raises(EnumerationCapError):
         weighted_dyck_count(9, 3, cap=8)

@@ -167,6 +167,12 @@ def test_histogram_matches_per_path_count():
             assert hist[1:] == [s_closed_form(n, k) for k in range(1, n + 1)]
 
 
+@pytest.mark.parametrize("n", [13, 14])
+def test_histogram_matches_closed_form_up_to_default_cap(n):
+    expected = [0, *(s_closed_form(n, k) for k in range(1, n + 1))]
+    assert _kernel.component_histogram(n) == expected
+
+
 def _bitwise_ends(mask, length):
     """Reference scan, one step at a time: ends, or None off a Dyck path."""
     ends, height = [], 0
@@ -179,7 +185,7 @@ def _bitwise_ends(mask, length):
     return None if height else ends
 
 
-def test_byte_scan_matches_bitwise_reference():
+def test_bit_scan_matches_stepwise_reference():
     legal = 0
     for length in range(0, 17, 2):
         for mask in range(1 << length):
@@ -191,9 +197,10 @@ def test_byte_scan_matches_bitwise_reference():
     assert legal == sum(catalan_number(n) for n in range(9))
 
 
-def test_byte_scan_above_height_eight():
-    # a byte boundary is first crossed above height 8 at semi-length 13,
-    # e.g. R^13 L^13 enters its third byte at height 10
+def test_bit_scan_at_heights_above_eight():
+    # towers R^a L^a of height a >= 9 among RL pairs, at semi-lengths
+    # 13..20, beyond the exhaustive test's 16 letters; each word is also
+    # scanned with its last letter, or its tower's last letter, flipped
     for n in range(13, 21):
         for a in range(9, n + 1):
             for j in range(n - a + 1):
