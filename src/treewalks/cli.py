@@ -33,6 +33,8 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
+    if args.rows < 0:
+        raise ValueError(f"--rows must be >= 0, got {args.rows}")
     rows = catalan_rows if args.kind == "catalan" else borel_rows
     sys.stdout.writelines(format_rows(checked_rows(rows(args.rows), args.kind), args.format))
     if args.check_fixture:
@@ -111,9 +113,9 @@ def _cmd_walks(args: argparse.Namespace) -> int:
 def _cmd_poly(args: argparse.Namespace) -> int:
     poly = walks_polynomial(args.n)
     if args.format == "json":
-        print(poly.to_json())
+        print(json.dumps(list(map(str, poly.coefficients))))
     elif args.format == "csv":
-        print(",".join(str(c) for c in poly.coefficient_list()))
+        print(",".join(map(str, poly.coefficients)))
     else:
         print(poly.render(ascii_only=args.ascii))
     if args.check_fixture:
@@ -125,10 +127,11 @@ def _cmd_poly(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_VERIFY
-        if poly.coefficient_list() != fixture[args.n]:
+        computed = list(poly.coefficients)
+        if computed != fixture[args.n]:
             print(
                 f"fixture mismatch: polynomial n={args.n}: "
-                f"computed {poly.coefficient_list()}, fixture {fixture[args.n]}",
+                f"computed {computed}, fixture {fixture[args.n]}",
                 file=sys.stderr,
             )
             return EXIT_VERIFY

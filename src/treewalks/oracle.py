@@ -37,14 +37,11 @@ def _check(delta: int) -> None:
         raise ValueError(f"delta must be >= 1, got {delta}")
 
 
-def dp_walk_count_by_length(length: int, delta: int) -> int:
-    """Closed walks of the given length from the root (0 when length is odd)."""
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+def dp_walk_count(n: int, delta: int) -> int:
+    """Closed walks of length 2n from the root, by the distance-state DP."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     _check(delta)
-    if length % 2:
-        return 0  # the tree is bipartite
-    n = length // 2
     # counts[i] = a_d, the walks of `step` steps from the root to one
     # fixed vertex at depth d = 2i + step % 2; no other depth is reached.
     # A step sets a_0 <- delta a_1 and a_d <- a_(d-1) + (delta-1) a_(d+1)
@@ -65,13 +62,6 @@ def dp_walk_count_by_length(length: int, delta: int) -> int:
         total += weight * a * a
         weight *= two_down
     return total
-
-
-def dp_walk_count(n: int, delta: int) -> int:
-    """Closed walks of length 2n from the root, by the distance-state DP."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return dp_walk_count_by_length(2 * n, delta)
 
 
 def weighted_dyck_count(n: int, delta: int, cap: int = ENUM_CAP_DEFAULT) -> int:
@@ -118,9 +108,8 @@ def dp_return_profile(n: int, delta: int) -> list[int]:
         raise ValueError(f"n must be >= 1, got {n}")
     _check(delta)
     bits = n * (2 + delta.bit_length())
-    # counts[i] = a_d(x) at depth d = 2i + step % 2, as in
-    # dp_walk_count_by_length; a step into the root is a return, so it
-    # multiplies by delta x.
+    # counts[i] = a_d(x) at depth d = 2i + step % 2, as in dp_walk_count;
+    # a step into the root is a return, so it multiplies by delta x.
     scale = (delta - 1).__mul__
     counts = [1]
     for step in range(1, n + 1):

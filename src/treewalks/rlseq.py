@@ -31,7 +31,6 @@ sequence is a (mask, length) pair in the bit layout of ``treewalks._kernel``
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 
 from treewalks import _kernel
@@ -154,33 +153,15 @@ class RLSequence:
         return len(_component_ends(self._mask, self._length))
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    """Ordered components whose concatenation is the original sequence."""
-
-    components: tuple[RLSequence, ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def concatenation(self) -> RLSequence:
-        mask = offset = 0
-        for part in self.components:
-            mask |= part._mask << offset
-            offset += len(part)
-        return RLSequence._from_mask(mask, offset)
-
-
-def components(seq: RLSequence | str) -> ComponentDecomposition:
-    """Split a balanced legal sequence at its returns to height 0."""
+def components(seq: RLSequence | str) -> tuple[RLSequence, ...]:
+    """Split a balanced legal sequence at its returns to height 0, in order."""
     if isinstance(seq, str):
         seq = RLSequence(seq)
     ends = _component_ends(seq._mask, seq._length)
-    parts = tuple(
+    return tuple(
         RLSequence._from_mask(seq._mask >> start & ((1 << (end - start)) - 1), end - start)
         for start, end in zip([0, *ends], ends)
     )
-    return ComponentDecomposition(components=parts)
 
 
 def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[RLSequence]:

@@ -243,7 +243,7 @@ def check_fixtures() -> CheckResult:
                         name, False, f"{kind} triangle (n={n}, k={k}): computed {c}, fixture {f}"
                     )
     for n, expected in polys.items():
-        got = walks_polynomial(n).coefficient_list()
+        got = list(walks_polynomial(n).coefficients)
         if got != expected:
             return CheckResult(
                 name, False, f"polynomial n={n}: computed {got}, fixture {expected}"

@@ -37,38 +37,32 @@ def _check_domain(n: int, delta: int, min_n: int = 1) -> None:
 
 @dataclass(frozen=True)
 class DeltaPolynomial:
-    """Walk-count polynomial in the tree degree, exponents 1..n.
+    """Walk-count polynomial in the tree degree, exponents n down to 1.
 
-    ``coefficients[l]`` is the (signed, exact) coefficient of degree^l.
-    Leading coefficient is B(n-1, 0), the n-th Catalan number; signs
-    alternate down from the top; there is no constant term.
+    ``coefficients`` is Borel row n-1 with alternating signs: entry i is
+    the (signed, exact) coefficient of degree^(n-i), namely
+    (-1)^i B(n-1, i).  It starts at B(n-1, 0), the n-th Catalan number;
+    every entry is non-zero, and there is no constant term.
     """
 
-    coefficients: dict[int, int]
+    coefficients: tuple[int, ...]
 
     @property
     def degree(self) -> int:
-        return max(self.coefficients)
+        return len(self.coefficients)
 
     def evaluate(self, delta: int) -> int:
         """Value at ``delta``, by Horner's rule from the top coefficient."""
         h = 0
-        for c in self.coefficient_list():
+        for c in self.coefficients:
             h = h * delta + c
         return h * delta  # no constant term
-
-    def coefficient_list(self) -> list[int]:
-        """Coefficients exponent-descending, degree down to 1."""
-        return [self.coefficients.get(l, 0) for l in range(self.degree, 0, -1)]
 
     def render(self, ascii_only: bool = False) -> str:
         var = "d" if ascii_only else "δ"
         minus = "-" if ascii_only else "−"
         terms = []
-        for l in range(self.degree, 0, -1):
-            c = self.coefficients.get(l, 0)
-            if c == 0:
-                continue
+        for l, c in zip(range(self.degree, 0, -1), self.coefficients):
             mag = abs(c)
             if l == 1:
                 power = ""
@@ -81,14 +75,7 @@ class DeltaPolynomial:
                 terms.append(term if c > 0 else f"{minus}{term}")
             else:
                 terms.append(f" {minus} {term}" if c < 0 else f" + {term}")
-        return "".join(terms) if terms else "0"
-
-    def to_json(self) -> str:
-        """Exponent-descending coefficient array, decimal strings.
-
-        The text is json.dumps's: decimal strings need no escaping.
-        """
-        return '["' + '", "'.join(map(str, self.coefficient_list())) + '"]'
+        return "".join(terms)
 
 
 def walks_via_components(n: int, delta: int) -> int:
@@ -137,9 +124,7 @@ def walks_polynomial(n: int) -> DeltaPolynomial:
     """Walk-count polynomial: coefficient of degree^l is (-1)^(n-l) B(n-1, n-l)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    row = borel_row(n - 1)
-    coeffs = {l: (-1) ** (n - l) * row[n - l] for l in range(1, n + 1)}
-    return DeltaPolynomial(coefficients=coeffs)
+    return DeltaPolynomial(tuple(-b if i % 2 else b for i, b in enumerate(borel_row(n - 1))))
 
 
 def walks_with_k_returns(n: int, k: int, delta: int) -> int:

@@ -236,6 +236,7 @@ def test_a_check_that_compares_nothing_fails():
         (["verify", "--max-delta", "0"], "--max-delta"),
         (["stable", "--n", "-1", "--method", "closed"], "n must be >= 0, got -1"),
         (["verify", "--enum-cap", "0"], "--enum-cap"),
+        (["triangle", "catalan", "--rows", "-1"], "--rows"),
     ],
 )
 def test_bounds_that_check_nothing_exit_2(capsys, argv, option):
@@ -267,6 +268,15 @@ def test_verify_corrupted_fixture_fails_with_location(capsys, corrupt_borel_fixt
 def test_triangle_corrupted_fixture_exit_1(capsys, corrupt_borel_fixture):
     code, _, err = run(capsys, "triangle", "borel", "--rows", "7", "--check-fixture")
     assert code == 1 and "mismatch" in err
+
+
+def test_poly_corrupted_fixture_names_both_lists(capsys, monkeypatch):
+    monkeypatch.setitem(fx.WALK_POLYNOMIALS, 4, [14, -28, 21, -5])  # 20 is right
+    lists = "computed [14, -28, 20, -5], fixture [14, -28, 21, -5]"
+    code, _, err = run(capsys, "poly", "--n", "4", "--check-fixture")
+    assert code == 1
+    assert err == f"fixture mismatch: polynomial n=4: {lists}\n"
+    assert verify.check_fixtures().detail == f"polynomial n=4: {lists}"
 
 
 def test_usage_error_unknown_command():

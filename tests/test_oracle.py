@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from treewalks.oracle import (
     dp_return_profile,
     dp_walk_count,
-    dp_walk_count_by_length,
     weighted_dyck_count,
 )
 from treewalks.rlseq import EnumerationCapError
@@ -27,14 +26,8 @@ def test_dp_hand_trace():
     assert dp_walk_count(2, 3) == 15
 
 
-def test_odd_lengths_have_no_closed_walks():
-    for length in range(1, 16, 2):
-        for delta in range(1, 6):
-            assert dp_walk_count_by_length(length, delta) == 0
-
-
 def _two_n_step_dp(length, delta):
-    """dp_walk_count_by_length as a 2n-step DP on walks ending at each depth."""
+    """Closed walks of the given length as a DP on walks ending at each depth."""
     counts = [1]
     for step in range(1, length + 1):
         top = min(step, length - step)
@@ -52,8 +45,8 @@ def _two_n_step_dp(length, delta):
 
 @pytest.mark.parametrize("delta", [1, 2, 3, 7, 20])
 def test_half_length_dp_matches_two_n_step_dp(delta):
-    for length in range(121):
-        assert dp_walk_count_by_length(length, delta) == _two_n_step_dp(length, delta)
+    for n in range(61):
+        assert dp_walk_count(n, delta) == _two_n_step_dp(2 * n, delta)
 
 
 @pytest.mark.parametrize("n", [250, 1000])

@@ -86,9 +86,9 @@ def test_string_round_trip():
     ],
 )
 def test_components(word, expected):
-    decomp = components(word)
-    assert [str(c) for c in decomp.components] == expected
-    assert str(decomp.concatenation()) == word
+    parts = components(word)
+    assert [str(c) for c in parts] == expected
+    assert "".join(map(str, parts)) == word
 
 
 def test_components_rejects_illegal():
@@ -98,7 +98,9 @@ def test_components_rejects_illegal():
 
 def test_component_pieces_are_arch_shaped():
     for seq in enumerate_sequences(6):
-        for piece in components(seq).components:
+        parts = components(seq)
+        assert "".join(map(str, parts)) == str(seq)
+        for piece in parts:
             s = str(piece)
             assert s[0] == "R" and s[-1] == "L"
             # touches height 0 only at its own ends

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+from itertools import combinations
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treewalks import verify
+import treewalks
+from treewalks import exact, verify, walks
 from treewalks.oracle import dp_walk_count
 from treewalks.series import gf_walk_counts
 from treewalks.walks import walks_via_borel, walks_via_catalan, walks_via_components
+
+PACKAGE_DIR = Path(treewalks.__file__).parent
 
 
 def five_routes(n: int, delta: int, gf: list[int] | None) -> dict[str, int]:
@@ -70,3 +77,40 @@ def test_verify_agreement_check_catches_a_disagreeing_route(monkeypatch):
     assert not result.passed
     assert result.detail.startswith("disagreement at (n=6, delta=3): ")
     assert f"'borel': {walks_via_catalan(6, 3) + 1}" in result.detail
+
+
+def _footprint(route, *args):
+    """Code objects of the package functions that run while ``route(*args)`` does."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and PACKAGE_DIR in Path(code.co_filename).parents:
+            seen.add(code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        route(*args)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_routes_share_only_the_checked_division_and_the_domain_check():
+    n, delta = 9, 3
+    footprints = {
+        "components": _footprint(walks_via_components, n, delta),
+        "catalan": _footprint(walks_via_catalan, n, delta),
+        "borel": _footprint(walks_via_borel, n, delta),
+        "gf": _footprint(gf_walk_counts, delta, n),
+        "oracle": _footprint(dp_walk_count, n, delta),
+    }
+    assert all(footprints.values())
+    allowed = {exact.exact_div.__code__, walks._check_domain.__code__}
+    for (a, fa), (b, fb) in combinations(footprints.items(), 2):
+        shared = sorted(
+            f"{Path(c.co_filename).stem}.{getattr(c, 'co_qualname', c.co_name)}"
+            for c in (fa & fb) - allowed
+        )
+        assert not shared, (a, b, shared)

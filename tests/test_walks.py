@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from math import comb
 
 import pytest
 
-from treewalks import verify
+from treewalks import cli, verify
 from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.series import gf_walk_counts
 from treewalks.triangles import borel_entry_transform, catalan_entry, catalan_number
@@ -109,7 +110,7 @@ def test_delta_two_is_central_binomial():
 
 def test_polynomial_table():
     for n, coeffs in POLY_TABLE.items():
-        assert walks_polynomial(n).coefficient_list() == coeffs
+        assert list(walks_polynomial(n).coefficients) == coeffs
 
 
 def test_polynomial_structure():
@@ -117,10 +118,10 @@ def test_polynomial_structure():
         poly = walks_polynomial(n)
         assert poly.degree == n
         # leading coefficient is B(n-1, 0), which is the n-th Catalan number
-        assert poly.coefficients[n] == catalan_number(n) > 0
-        assert 0 not in poly.coefficients  # no constant term
+        assert poly.coefficients[0] == catalan_number(n) > 0
+        assert poly.evaluate(0) == 0  # no constant term
         for l in range(1, n + 1):
-            c = poly.coefficients[l]
+            c = poly.coefficients[n - l]
             assert c == (-1) ** (n - l) * borel_entry_transform(n - 1, n - l)
             assert c != 0 and (c > 0) == ((n - l) % 2 == 0)
 
@@ -167,14 +168,14 @@ def test_polynomial_coefficients_match_polynomial_dp():
     for n in range(1, 61):
         dp = counts[n]
         assert dp[0] == 0 and not any(dp[n + 1:]), n
-        assert walks_polynomial(n).coefficient_list() == dp[n:0:-1], n
+        assert list(walks_polynomial(n).coefficients) == dp[n:0:-1], n
 
 
 def test_polynomial_horner_evaluation_matches_per_term_sum():
     for n in range(1, 31):
         poly = walks_polynomial(n)
         for delta in (-3, 0, 1, 2, 3, 7, 20):
-            per_term = sum(c * delta**l for l, c in poly.coefficients.items())
+            per_term = sum(c * delta**l for l, c in zip(range(n, 0, -1), poly.coefficients))
             assert poly.evaluate(delta) == per_term, (n, delta)
 
 
@@ -187,18 +188,14 @@ def test_polynomial_rendering():
     assert walks_polynomial(3).render(ascii_only=True) == "5d^3 - 6d^2 + 2d"
 
 
-def test_polynomial_json():
-    import json
-
-    assert json.loads(walks_polynomial(4).to_json()) == ["14", "-28", "20", "-5"]
-
-
-def test_polynomial_json_is_json_dumps_text():
-    import json
-
+def test_poly_cli_serialisers_match_polynomial_dp(capsys):
+    counts = _dp_walk_polynomials(60)
     for n in range(1, 61):
-        poly = walks_polynomial(n)
-        assert poly.to_json() == json.dumps(list(map(str, poly.coefficient_list())))
+        coeffs = list(map(str, counts[n][n:0:-1]))
+        assert cli.main(["poly", "--n", str(n), "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(coeffs) + "\n", n
+        assert cli.main(["poly", "--n", str(n), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == ",".join(coeffs) + "\n", n
 
 
 def test_k_returns_table():
