@@ -188,6 +188,18 @@ def test_polynomial_rendering():
     assert walks_polynomial(3).render(ascii_only=True) == "5d^3 - 6d^2 + 2d"
 
 
+def test_polynomial_json(capsys):
+    assert cli.main(["poly", "--n", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == ["14", "-28", "20", "-5"]
+
+
+def test_polynomial_json_is_json_dumps_text(capsys):
+    for n in range(1, 61):
+        coeffs = list(map(str, walks_polynomial(n).coefficients))
+        assert cli.main(["poly", "--n", str(n), "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(coeffs) + "\n", n
+
+
 def test_poly_cli_serialisers_match_polynomial_dp(capsys):
     counts = _dp_walk_polynomials(60)
     for n in range(1, 61):
