@@ -16,20 +16,22 @@ import sys
 
 from treewalks import fixtures as fx
 from treewalks import rlseq, verify
-from treewalks.oracle import dp_walk_count
 from treewalks.series import gf_walk_counts, sqrt_coefficients
 from treewalks.triangles import borel_rows, catalan_rows, checked_rows, format_rows
-from treewalks.walks import (
-    walks_polynomial,
-    walks_via_borel,
-    walks_via_catalan,
-    walks_via_components,
-)
+from treewalks.walks import ROUTES, walks_polynomial
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
+
+
+def _fixture_mismatch() -> bool:
+    """Run ``verify``'s golden-fixture check; report and return True if it fails."""
+    result = verify.check_fixtures()
+    if not result.passed:
+        print(f"fixture mismatch: {result.detail}", file=sys.stderr)
+    return not result.passed
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
@@ -38,31 +40,16 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     rows = catalan_rows if args.kind == "catalan" else borel_rows
     sys.stdout.writelines(format_rows(checked_rows(rows(args.rows), args.kind), args.format))
     if args.check_fixture:
-        fixture = fx.TRIANGLES[args.kind]
-        depth = min(args.rows + 1, len(fixture))
-        for n, (row, expected) in enumerate(zip(rows(depth - 1), fixture)):
-            if list(row) != expected:
-                print(
-                    f"fixture mismatch: {args.kind} row {n}: "
-                    f"computed {list(row)}, fixture {expected}",
-                    file=sys.stderr,
-                )
-                return EXIT_VERIFY
-        if args.rows >= depth:
+        if _fixture_mismatch():
+            return EXIT_VERIFY
+        last = len(fx.TRIANGLES[args.kind]) - 1
+        if args.rows > last:
             print(
-                f"fixture check: {args.kind} rows 0..{depth - 1} of 0..{args.rows} "
-                f"checked; the fixture ends at row {depth - 1}",
+                f"fixture check: {args.kind} rows 0..{last} of 0..{args.rows} "
+                f"checked; the fixture ends at row {last}",
                 file=sys.stderr,
             )
     return EXIT_OK
-
-
-_METHODS = {
-    "components": walks_via_components,
-    "catalan": walks_via_catalan,
-    "borel": walks_via_borel,
-    "oracle": dp_walk_count,
-}
 
 
 def _cmd_walks(args: argparse.Namespace) -> int:
@@ -71,11 +58,7 @@ def _cmd_walks(args: argparse.Namespace) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if args.rational and args.method not in ("gf", "all"):
         raise ValueError("--rational needs --method gf or all")
-    methods = (
-        ["components", "catalan", "borel", "gf", "oracle"]
-        if args.method == "all"
-        else [args.method]
-    )
+    methods = list(ROUTES) if args.method == "all" else [args.method]
     if "gf" in methods and delta < 2:
         if args.method != "all":
             raise ValueError("the gf method requires delta >= 2")
@@ -83,16 +66,11 @@ def _cmd_walks(args: argparse.Namespace) -> int:
             raise ValueError(f"delta must be >= 1, got {delta}")
         methods.remove("gf")
         print("gf skipped (requires delta >= 2)", file=sys.stderr)
-    values: dict[str, int] = {}
-    for m in methods:
-        if m == "gf":
-            counts = gf_walk_counts(delta, n)
-            values[m] = counts[n]
-        else:
-            values[m] = _METHODS[m](n, delta)
+    values = {m: ROUTES[m](n, delta) for m in methods}
     if args.rational and "gf" in methods:
         # debugging view of the exact intermediate series, even degrees only
-        for label, terms in (("sqrt", sqrt_coefficients(delta, n)), ("f", counts)):
+        series = (("sqrt", sqrt_coefficients(delta, n)), ("f", gf_walk_counts(delta, n)))
+        for label, terms in series:
             pretty = ", ".join(map(str, terms))
             print(f"# {label} even coefficients: {pretty}", file=sys.stderr)
     if args.format == "json":
@@ -127,13 +105,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_VERIFY
-        computed = list(poly.coefficients)
-        if computed != fixture[args.n]:
-            print(
-                f"fixture mismatch: polynomial n={args.n}: "
-                f"computed {computed}, fixture {fixture[args.n]}",
-                file=sys.stderr,
-            )
+        if _fixture_mismatch():
             return EXIT_VERIFY
     return EXIT_OK
 
@@ -201,11 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walks", help="count closed walks of length 2n")
     p.add_argument("--n", type=int, required=True, help="half-length of the walk")
     p.add_argument("--delta", type=int, required=True, help="tree degree")
-    p.add_argument(
-        "--method",
-        choices=["components", "catalan", "borel", "gf", "oracle", "all"],
-        default="catalan",
-    )
+    p.add_argument("--method", choices=[*ROUTES, "all"], default="catalan")
     add_format(p)
     p.add_argument(
         "--rational",

@@ -153,11 +153,16 @@ class RLSequence:
         return len(_component_ends(self._mask, self._length))
 
 
-def components(seq: RLSequence | str) -> tuple[RLSequence, ...]:
-    """Split a balanced legal sequence at its returns to height 0, in order."""
+def _with_ends(seq: RLSequence | str) -> tuple[RLSequence, list[int]]:
+    """``seq`` as an RLSequence, parsed if it is a word, and its component ends."""
     if isinstance(seq, str):
         seq = RLSequence(seq)
-    ends = _component_ends(seq._mask, seq._length)
+    return seq, _component_ends(seq._mask, seq._length)
+
+
+def components(seq: RLSequence | str) -> tuple[RLSequence, ...]:
+    """Split a balanced legal sequence at its returns to height 0, in order."""
+    seq, ends = _with_ends(seq)
     return tuple(
         RLSequence._from_mask(seq._mask >> start & ((1 << (end - start)) - 1), end - start)
         for start, end in zip([0, *ends], ends)
@@ -243,9 +248,7 @@ def delete_component_pair(seq: RLSequence | str, i: int) -> RLSequence:
     The bijection's deletion map: the i-th component R w L becomes w,
     which may itself be empty or split into several components.
     """
-    if isinstance(seq, str):
-        seq = RLSequence(seq)
-    ends = _component_ends(seq._mask, seq._length)
+    seq, ends = _with_ends(seq)
     if not 1 <= i <= len(ends):
         raise ComponentIndexError(
             f"component index {i} out of range 1..{len(ends)}"
@@ -268,9 +271,7 @@ def insert_component_pair(alpha: RLSequence | str, i: int, k: int) -> RLSequence
     alpha has j components; the result has exactly k components and the
     wrapped block sits at position i.  Requires 1 <= i <= k <= j + 1.
     """
-    if isinstance(alpha, str):
-        alpha = RLSequence(alpha)
-    ends = _component_ends(alpha._mask, alpha._length)
+    alpha, ends = _with_ends(alpha)
     j = len(ends)
     if not (1 <= i <= k and j >= k - 1):
         raise ComponentIndexError(

@@ -176,17 +176,20 @@ def borel_rows(N: int) -> Iterator[tuple[int, ...]]:
 
         B(n, k) = Cat(n) binom(n+1, k+1) - B(n-1, k+1),  B(-1, .) = 0.
 
-    binom(n+1, .) advances by Pascal's rule, so a row costs O(n)
-    operations and the table O(N^2).  This route calls neither
-    ``borel_row`` nor the entry formulas; ``verify`` checks it against
-    all three.
+    binom(n+1, .) advances by Pascal's rule and Cat(n) by the checked
+    ratio Cat(n) = Cat(n-1) 2(2n-1)/(n+1), so a row costs O(n) operations
+    and the table O(N^2).  This route calls neither ``borel_row``, the
+    entry formulas nor ``catalan_number``; ``verify`` checks it against
+    the other three.
     """
     if N < 0:
         raise TriangleIndexError(f"N must be >= 0, got {N}")
     row: tuple[int, ...] = ()  # B(-1, .)
     binom = [1, 1]  # binom(n+1, 0..n+1)
+    cat = 1  # Cat(0)
     for n in range(N + 1):
-        cat = catalan_number(n)
+        if n:
+            cat = exact_div(cat * (2 * (2 * n - 1)), n + 1)
         row = tuple(cat * b - a for b, a in zip(binom[1:], (*row[1:], 0, 0)))
         yield row
         binom = list(map(add, [0, *binom], [*binom, 0]))

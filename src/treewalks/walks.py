@@ -9,8 +9,8 @@ W(2n, delta) is computed by three mutually independent closed forms:
                        Borel row n-1 from ``borel_row``: O(n) exact
                        ratio steps down from B(n-1, n-1) = Cat(n-1)
 
-All three must agree exactly; the test grid enforces it against the DP
-and generating-function oracles as well.
+All three must agree exactly with each other and with the DP and
+generating-function oracles; ``ROUTES`` holds the five side by side.
 
 delta = 1 is admitted as a formal specialization (W = 1, the single
 there-and-back walk) even though an infinite 1-regular tree does not
@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from treewalks.exact import ExactnessError, exact_div
+from treewalks.oracle import dp_walk_count
 from treewalks.rlseq import _s_rows
+from treewalks.series import gf_walk_counts
 from treewalks.triangles import borel_row, catalan_entry, catalan_number
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -125,6 +127,17 @@ def walks_polynomial(n: int) -> DeltaPolynomial:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return DeltaPolynomial(tuple(-b if i % 2 else b for i, b in enumerate(borel_row(n - 1))))
+
+
+#: The five routes to W(2n, delta) as ``route(n, delta)``, in the order
+#: ``walks --method all`` prints them; ``cli`` and ``verify`` both read it.
+ROUTES = {
+    "components": walks_via_components,
+    "catalan": walks_via_catalan,
+    "borel": walks_via_borel,
+    "gf": lambda n, delta: gf_walk_counts(delta, n)[n],
+    "oracle": dp_walk_count,
+}
 
 
 def walks_with_k_returns(n: int, k: int, delta: int) -> int:

@@ -250,6 +250,15 @@ def test_verify_trivial_bounds(capsys):
     assert code == 0
 
 
+def test_verify_says_when_gf_did_not_run(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-delta", "1", "--enum-cap", "3")
+    assert code == 0
+    assert "five-method agreement              PASS  (gf not run: needs delta >= 2)\n" in out
+    assert verify.check_method_agreement(3, 2) == verify.CheckResult(
+        "five-method agreement", True, "", 6
+    )
+
+
 @pytest.fixture()
 def corrupt_borel_fixture(monkeypatch):
     rows = [list(row) for row in fx.TRIANGLES["borel"]]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treewalks
-from treewalks import exact, verify, walks
+from treewalks import cli, exact, triangles, verify, walks
 from treewalks.oracle import dp_walk_count
 from treewalks.series import gf_walk_counts
 from treewalks.walks import walks_via_borel, walks_via_catalan, walks_via_components
@@ -72,11 +72,23 @@ def test_verify_agreement_check_catches_a_disagreeing_route(monkeypatch):
     def wrong_at_6_3(n, delta):
         return walks_via_borel(n, delta) + ((n, delta) == (6, 3))
 
-    monkeypatch.setattr(verify, "walks_via_borel", wrong_at_6_3)
+    monkeypatch.setitem(walks.ROUTES, "borel", wrong_at_6_3)
     result = verify.check_method_agreement(8, 4)
     assert not result.passed
     assert result.detail.startswith("disagreement at (n=6, delta=3): ")
     assert f"'borel': {walks_via_catalan(6, 3) + 1}" in result.detail
+
+
+def test_one_route_table_serves_the_cli_and_verify(monkeypatch, capsys):
+    def wrong_at_6_3(n, delta):
+        return walks_via_borel(n, delta) + ((n, delta) == (6, 3))
+
+    monkeypatch.setitem(walks.ROUTES, "borel", wrong_at_6_3)
+    result = verify.check_method_agreement(8, 4)
+    assert not result.passed and "'borel'" in result.detail
+    code = cli.main(["walks", "--n", "6", "--delta", "3", "--method", "all"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("method disagreement: ")
 
 
 def _footprint(route, *args):
@@ -108,6 +120,25 @@ def test_routes_share_only_the_checked_division_and_the_domain_check():
     }
     assert all(footprints.values())
     allowed = {exact.exact_div.__code__, walks._check_domain.__code__}
+    for (a, fa), (b, fb) in combinations(footprints.items(), 2):
+        shared = sorted(
+            f"{Path(c.co_filename).stem}.{getattr(c, 'co_qualname', c.co_name)}"
+            for c in (fa & fb) - allowed
+        )
+        assert not shared, (a, b, shared)
+
+
+def test_borel_routes_share_only_the_checked_division_and_the_index_check():
+    n = 9
+    cells = [(m, k) for m in range(n + 1) for k in range(m + 1)]
+    footprints = {
+        "explicit": _footprint(lambda: [triangles.borel_entry_explicit(*c) for c in cells]),
+        "transform": _footprint(lambda: [triangles.borel_entry_transform(*c) for c in cells]),
+        "borel_row": _footprint(lambda: [triangles.borel_row(m) for m in range(n + 1)]),
+        "borel_table": _footprint(triangles.borel_table, n),
+    }
+    assert all(footprints.values())
+    allowed = {exact.exact_div.__code__, triangles._check_index.__code__}
     for (a, fa), (b, fb) in combinations(footprints.items(), 2):
         shared = sorted(
             f"{Path(c.co_filename).stem}.{getattr(c, 'co_qualname', c.co_name)}"
