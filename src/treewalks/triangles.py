@@ -22,8 +22,8 @@ walk polynomial uses.  ``borel_rows`` is a third route, a row recurrence.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from operator import add
@@ -128,20 +128,19 @@ def format_rows(rows: Iterable[tuple[int, ...]], fmt: str) -> Iterator[str]:
         yield sep.join(map(str, row)) + "\n"
 
 
-@dataclass(frozen=True)
-class TriangleTable:
+class TriangleTable(namedtuple("TriangleTable", "rows kind")):
     """Immutable lower-triangular table of exact counts: row n holds k = 0..n.
 
     ``kind`` is "catalan", "borel" or "s" (the component counts S(n, k));
     the constructor runs every row through ``checked_rows``.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    kind: str  # "catalan", "borel" or "s"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for _ in checked_rows(self.rows, self.kind):
+    def __new__(cls, rows: tuple[tuple[int, ...], ...], kind: str) -> TriangleTable:
+        for _ in checked_rows(rows, kind):
             pass
+        return super().__new__(cls, rows, kind)
 
     def entry(self, n: int, k: int) -> int:
         _check_index(n, k)

@@ -9,7 +9,7 @@ cases it compared in ``cases``; a check that compared none fails with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from treewalks import _kernel, rlseq
@@ -35,12 +35,8 @@ from treewalks.walks import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    cases: int = 0
+class CheckResult(namedtuple("CheckResult", "name passed detail cases", defaults=("", 0))):
+    __slots__ = ()
 
 
 def _passed(name: str, cases: int, detail: str = "") -> CheckResult:

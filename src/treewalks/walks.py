@@ -19,7 +19,7 @@ exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from treewalks.exact import ExactnessError, exact_div
 from treewalks.oracle import dp_walk_count
@@ -37,8 +37,7 @@ def _check_domain(n: int, delta: int, min_n: int = 1) -> None:
         raise ValueError(f"delta must be >= 1, got {delta}")
 
 
-@dataclass(frozen=True)
-class DeltaPolynomial:
+class DeltaPolynomial(namedtuple("DeltaPolynomial", "coefficients")):
     """Walk-count polynomial in the tree degree, exponents n down to 1.
 
     ``coefficients`` is Borel row n-1 with alternating signs: entry i is
@@ -47,7 +46,7 @@ class DeltaPolynomial:
     every entry is non-zero, and there is no constant term.
     """
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
