@@ -21,7 +21,6 @@ from treewalks.rlseq import (
 )
 from treewalks.series import gf_walk_counts
 from treewalks.triangles import (
-    TriangleTable,
     borel_entry_explicit,
     borel_entry_transform,
     borel_row,
@@ -50,7 +49,6 @@ KERNEL_BACKEND = "python"
 __all__ = [
     "KERNEL_BACKEND",
     "RLSequence",
-    "TriangleTable",
     "DeltaPolynomial",
     "ExactnessError",
     "borel_entry_explicit",

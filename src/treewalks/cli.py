@@ -114,7 +114,7 @@ def _cmd_stable(args: argparse.Namespace) -> int:
     if args.method == "enumerated":
         if args.enum_cap < 0:
             raise ValueError(f"--enum-cap must be >= 0, got {args.enum_cap}")
-        rows = rlseq.s_table_enumerated(args.n, cap=args.enum_cap).rows
+        rows = rlseq.s_table_enumerated(args.n, cap=args.enum_cap)
     elif args.n < 0:
         raise ValueError(f"n must be >= 0, got {args.n}")
     elif args.method == "closed":

@@ -10,8 +10,8 @@ K_RETURN_MULTIPLIERS: (n, k) -> m for 1 <= k <= n <= 6, where m is the
 shape count multiplying delta^k (delta-1)^(n-k) in the per-return
 breakdown of W(2n).
 
-The rows are lists so that they compare equal to computed coefficient
-lists; nothing may mutate them.
+The rows are lists, so a computed row tuple compares equal to one only
+after ``list(row)``; nothing may mutate them.
 """
 
 TRIANGLES = {

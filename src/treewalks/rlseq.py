@@ -18,9 +18,9 @@ k components.  Three routes to it live here:
 
 plus the deletion/insertion pair realizing the bijection itself.
 
-An S-table is a ``TriangleTable`` of kind "s" whose row m is
-S(m, 0..m): (1,), (0, 1), (0, 1, 1), (0, 2, 2, 1), ...  Row 0 is the
-empty sequence, and S(m, 0) = 0 for m >= 1.  This is the layout
+An S-table is a tuple of rows, row m being S(m, 0..m): (1,), (0, 1),
+(0, 1, 1), (0, 2, 2, 1), ...  Row 0 is the empty sequence, and
+S(m, 0) = 0 for m >= 1.  This is the layout
 ``_kernel.component_histogram(m)`` returns.
 
 The string form over {R, L} is the interface representation.  Inside, a
@@ -34,7 +34,7 @@ from collections.abc import Iterator
 from itertools import accumulate
 
 from treewalks import _kernel
-from treewalks.triangles import TriangleTable, catalan_entry
+from treewalks.triangles import catalan_entry, checked_rows
 
 #: Default semi-length cap for enumeration.  Its ~2.7M whole paths bound
 #: only ``enumerate_sequences`` and the bijection check; the S-table and
@@ -177,7 +177,7 @@ def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[RLSequence]
     return [RLSequence._from_mask(m, 2 * n) for m, _ in _kernel.dyck_paths(n)]
 
 
-def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> TriangleTable:
+def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> tuple[tuple[int, ...], ...]:
     """S-table up to length 2n, counted from enumerated half-paths.
 
     Row m is ``_kernel.component_histogram(m)``: every head (first m
@@ -187,8 +187,8 @@ def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> TriangleTable:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_enumeration_cap(n, cap)
-    rows = tuple(tuple(_kernel.component_histogram(m)) for m in range(n + 1))
-    return TriangleTable(rows, kind="s")
+    rows = (tuple(_kernel.component_histogram(m)) for m in range(n + 1))
+    return tuple(checked_rows(rows, "s"))
 
 
 def _s_rows(n: int) -> Iterator[tuple[int, ...]]:
@@ -207,11 +207,11 @@ def _s_rows(n: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-def s_table_recurrence(n: int) -> TriangleTable:
+def s_table_recurrence(n: int) -> tuple[tuple[int, ...], ...]:
     """S-table from S(n, k) = sum_{j=k-1}^{n-1} S(n-1, j), base S(0, 0) = 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return TriangleTable(tuple(_s_rows(n)), kind="s")
+    return tuple(checked_rows(_s_rows(n), "s"))
 
 
 def s_closed_form(n: int, k: int) -> int:

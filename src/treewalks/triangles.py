@@ -22,7 +22,6 @@ walk polynomial uses.  ``borel_rows`` is a third route, a row recurrence.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from math import comb
@@ -128,27 +127,6 @@ def format_rows(rows: Iterable[tuple[int, ...]], fmt: str) -> Iterator[str]:
         yield sep.join(map(str, row)) + "\n"
 
 
-class TriangleTable(namedtuple("TriangleTable", "rows kind")):
-    """Immutable lower-triangular table of exact counts: row n holds k = 0..n.
-
-    ``kind`` is "catalan", "borel" or "s" (the component counts S(n, k));
-    the constructor runs every row through ``checked_rows``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rows: tuple[tuple[int, ...], ...], kind: str) -> TriangleTable:
-        for _ in checked_rows(rows, kind):
-            pass
-        return super().__new__(cls, rows, kind)
-
-    def entry(self, n: int, k: int) -> int:
-        _check_index(n, k)
-        if n >= len(self.rows):
-            raise TriangleIndexError(f"row {n} not built (table has {len(self.rows)} rows)")
-        return self.rows[n][k]
-
-
 def catalan_rows(N: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..N of Catalan's triangle via the additive ballot recurrence.
 
@@ -194,11 +172,11 @@ def borel_rows(N: int) -> Iterator[tuple[int, ...]]:
         binom = list(map(add, [0, *binom], [*binom, 0]))
 
 
-def catalan_table(N: int) -> TriangleTable:
-    """Rows 0..N of Catalan's triangle, from ``catalan_rows``."""
-    return TriangleTable(tuple(catalan_rows(N)), kind="catalan")
+def catalan_table(N: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..N of Catalan's triangle, from ``catalan_rows``, each row checked."""
+    return tuple(checked_rows(catalan_rows(N), "catalan"))
 
 
-def borel_table(N: int) -> TriangleTable:
-    """Rows 0..N of Borel's triangle, from ``borel_rows``."""
-    return TriangleTable(tuple(borel_rows(N)), kind="borel")
+def borel_table(N: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..N of Borel's triangle, from ``borel_rows``, each row checked."""
+    return tuple(checked_rows(borel_rows(N), "borel"))

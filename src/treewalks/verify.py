@@ -102,14 +102,14 @@ def check_s_table(max_n: int, enum_cap: int) -> CheckResult:
     rec = rlseq.s_table_recurrence(limit)
     for n in range(1, limit + 1):
         for k in range(1, n + 1):
-            a, b, c = enum.entry(n, k), rec.entry(n, k), rlseq.s_closed_form(n, k)
+            a, b, c = enum[n][k], rec[n][k], rlseq.s_closed_form(n, k)
             if not (a == b == c):
                 return CheckResult(
                     name,
                     False,
                     f"(n={n}, k={k}): enumerated={a} recurrence={b} closed={c}",
                 )
-        total = sum(rec.entry(n, k) for k in range(1, n + 1))
+        total = sum(rec[n][1:])
         if total != catalan_number(n):
             return CheckResult(
                 name, False, f"row {n} sums to {total}, not Catalan({n})"
@@ -176,7 +176,7 @@ def check_borel_consistency(max_n: int = 30) -> CheckResult:
     The four routes are compared entry by entry for rows 0..max_n.
     """
     name = "Borel explicit = transform"
-    table = borel_table(max_n).rows
+    table = borel_table(max_n)
     for n in range(max_n + 1):
         row = borel_row(n)
         for k in range(n + 1):
@@ -228,7 +228,7 @@ def check_fixtures() -> CheckResult:
     cat, bor = fx.TRIANGLES["catalan"], fx.TRIANGLES["borel"]
     polys, mults = fx.WALK_POLYNOMIALS, fx.K_RETURN_MULTIPLIERS
     for kind, table, fixture in (("catalan", catalan_table, cat), ("borel", borel_table, bor)):
-        rows = table(len(fixture) - 1).rows
+        rows = table(len(fixture) - 1)
         for n, (row, expected) in enumerate(zip(rows, fixture, strict=True)):
             for k, (c, f) in enumerate(zip(row, expected, strict=True)):
                 if c != f:

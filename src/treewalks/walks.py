@@ -130,12 +130,13 @@ def walks_polynomial(n: int) -> DeltaPolynomial:
 
 #: The five routes to W(2n, delta) as ``route(n, delta)``, in the order
 #: ``walks --method all`` prints them; ``cli`` and ``verify`` both read it.
+#: Every entry refuses n < 1 and delta < 1 through ``_check_domain``.
 ROUTES = {
     "components": walks_via_components,
     "catalan": walks_via_catalan,
     "borel": walks_via_borel,
-    "gf": lambda n, delta: gf_walk_counts(delta, n)[n],
-    "oracle": dp_walk_count,
+    "gf": lambda n, delta: _check_domain(n, delta) or gf_walk_counts(delta, n)[n],
+    "oracle": lambda n, delta: _check_domain(n, delta) or dp_walk_count(n, delta),
 }
 
 

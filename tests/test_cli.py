@@ -288,6 +288,13 @@ def test_poly_corrupted_fixture_names_both_lists(capsys, monkeypatch):
     assert verify.check_fixtures().detail == f"polynomial n=4: {lists}"
 
 
+def test_verify_fixture_check_catches_a_wrong_k_return_multiplier(monkeypatch):
+    monkeypatch.setitem(fx.K_RETURN_MULTIPLIERS, (4, 2), 6)  # C(3, 2) = 5 is right
+    result = verify.check_fixtures()
+    assert not result.passed
+    assert result.detail == "k-return multiplier (n=4, k=2): computed 5, fixture 6"
+
+
 def test_usage_error_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -22,7 +22,7 @@ from treewalks.rlseq import (
     s_table_enumerated,
     s_table_recurrence,
 )
-from treewalks.triangles import TriangleTable, catalan_entry, catalan_number, format_rows
+from treewalks.triangles import catalan_entry, catalan_number, format_rows
 
 
 def test_is_balanced_legal_basics():
@@ -220,17 +220,17 @@ def test_negative_n_rejected():
 
 def test_s_table_enumerated_small_values():
     table = s_table_enumerated(3)
-    assert table.entry(1, 1) == 1
-    assert table.entry(2, 1) == 1 and table.entry(2, 2) == 1
-    assert list(table.rows[3][1:]) == [2, 2, 1]
+    assert table[1][1] == 1
+    assert table[2][1] == 1 and table[2][2] == 1
+    assert list(table[3][1:]) == [2, 2, 1]
 
 
 def test_s_table_recurrence_values():
     table = s_table_recurrence(4)
-    assert table.entry(3, 2) == table.entry(2, 1) + table.entry(2, 2) == 2
+    assert table[3][2] == table[2][1] + table[2][2] == 2
     for n in range(1, 5):
-        assert table.entry(n, n) == 1
-    assert sum(table.rows[4][1:]) == 14
+        assert table[n][n] == 1
+    assert sum(table[4][1:]) == 14
 
 
 def test_s_closed_form_values():
@@ -249,19 +249,19 @@ def test_three_routes_agree_to_n12():
     rec = s_table_recurrence(12)
     for n in range(1, 13):
         for k in range(1, n + 1):
-            assert enum.entry(n, k) == rec.entry(n, k) == s_closed_form(n, k)
+            assert enum[n][k] == rec[n][k] == s_closed_form(n, k)
 
 
 def test_s_table_recurrence_matches_closed_form_to_n200():
     rec = s_table_recurrence(200)
     for n in range(1, 201):
-        assert list(rec.rows[n][1:]) == [s_closed_form(n, k) for k in range(1, n + 1)]
+        assert list(rec[n][1:]) == [s_closed_form(n, k) for k in range(1, n + 1)]
 
 
 def test_row_sums_are_catalan():
     rec = s_table_recurrence(12)
     for n in range(1, 13):
-        assert sum(rec.entry(n, k) for k in range(1, n + 1)) == catalan_number(n)
+        assert sum(rec[n][k] for k in range(1, n + 1)) == catalan_number(n)
 
 
 def test_cumulative_s():
@@ -282,20 +282,27 @@ def test_stable_serialization_round_trip():
     import json
 
     table = s_table_recurrence(5)
-    parsed = json.loads("".join(format_rows(table.rows, "json")))
+    parsed = json.loads("".join(format_rows(table, "json")))
     assert parsed[0] == ["1"]
-    assert [int(e) for e in parsed[5]] == list(table.rows[5])
-    assert "".join(format_rows(table.rows, "csv")).splitlines()[3] == "0,2,2,1"
+    assert [int(e) for e in parsed[5]] == list(table[5])
+    assert "".join(format_rows(table, "csv")).splitlines()[3] == "0,2,2,1"
 
 
 def test_verify_s_table_check_catches_a_wrong_recurrence_entry(monkeypatch):
     def one_wrong_entry(n):
-        rows = [list(row) for row in s_table_recurrence(n).rows]
+        rows = [list(row) for row in s_table_recurrence(n)]
         rows[4][2] += 1
-        return TriangleTable(tuple(map(tuple, rows)), kind="s")
+        return tuple(map(tuple, rows))
 
     monkeypatch.setattr(rlseq, "s_table_recurrence", one_wrong_entry)
     result = verify.check_s_table(6, 6)
     assert not result.passed
     assert result.detail.startswith("(n=4, k=2): ")
     assert "recurrence=6" in result.detail
+
+
+def test_verify_s_table_check_catches_a_wrong_row_sum(monkeypatch):
+    monkeypatch.setattr(verify, "catalan_number", lambda n: catalan_number(n) + (n == 5))
+    result = verify.check_s_table(6, 6)
+    assert not result.passed
+    assert result.detail == "row 5 sums to 42, not Catalan(5)"

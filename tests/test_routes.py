@@ -6,6 +6,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,13 @@ def test_each_route_matches_dp(n, delta):
     expected = dp_walk_count(n, delta)
     for route, value in five_routes(n, delta, gf).items():
         assert value == expected, route
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("method", walks.ROUTES)
+def test_every_route_refuses_n_below_1_alike(method, n):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        walks.ROUTES[method](n, 3)
 
 
 def test_verify_gf_quadratic_check_catches_a_wrong_coefficient(monkeypatch):

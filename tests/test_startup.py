@@ -3,7 +3,7 @@
 A `treewalks` query at small n answers in well under a millisecond, so a
 process spends most of its life importing.  ``dataclasses`` alone pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``, and ``typing`` costs more
-again; the three record types are ``collections.namedtuple`` subclasses so
+again; the two record types are ``collections.namedtuple`` subclasses so
 that none of these load.  The pins below hold the behaviour callers saw
 when the types were frozen dataclasses.
 """
@@ -18,7 +18,6 @@ import pytest
 
 import treewalks
 from treewalks import verify
-from treewalks.triangles import TriangleTable, catalan_table
 from treewalks.walks import walks_polynomial
 
 HEAVY = ("ast", "dataclasses", "dis", "inspect", "tokenize", "typing")
@@ -47,14 +46,6 @@ def test_a_cli_query_imports_no_heavy_module():
 
 
 RECORDS = {
-    "catalan table": (
-        lambda: catalan_table(2),
-        "TriangleTable(rows=((1,), (1, 1), (1, 2, 2)), kind='catalan')",
-    ),
-    "s table": (
-        lambda: TriangleTable(((1,), (0, 1), (0, 1, 1)), kind="s"),
-        "TriangleTable(rows=((1,), (0, 1), (0, 1, 1)), kind='s')",
-    ),
     "polynomial": (
         lambda: walks_polynomial(3),
         "DeltaPolynomial(coefficients=(5, -6, 2))",

@@ -7,11 +7,10 @@ from math import comb
 
 import pytest
 
-from treewalks import verify
-from treewalks.rlseq import s_table_recurrence
+from treewalks import _kernel, rlseq, triangles, verify
+from treewalks.rlseq import s_table_enumerated, s_table_recurrence
 from treewalks.triangles import (
     TriangleIndexError,
-    TriangleTable,
     borel_entry_explicit,
     borel_entry_transform,
     borel_row,
@@ -20,6 +19,7 @@ from treewalks.triangles import (
     catalan_entry,
     catalan_number,
     catalan_table,
+    checked_rows,
     format_rows,
 )
 
@@ -68,19 +68,45 @@ def test_catalan_entry_left_edge():
 
 def test_catalan_table_matches_published_rows():
     table = catalan_table(7)
-    assert [list(r) for r in table.rows] == CATALAN_ROWS
+    assert [list(r) for r in table] == CATALAN_ROWS
 
 
 def test_borel_table_matches_published_rows():
     table = borel_table(7)
-    assert [list(r) for r in table.rows] == BOREL_ROWS
+    assert [list(r) for r in table] == BOREL_ROWS
+
+
+def test_tables_are_tuples_of_row_tuples():
+    assert catalan_table(2) == ((1,), (1, 1), (1, 2, 2))
+    assert borel_table(1) == ((1,), (2, 1))
+    assert s_table_recurrence(2) == s_table_enumerated(2) == ((1,), (0, 1), (0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "module, name, bad_rows, build, message",
+    [
+        (triangles, "catalan_rows", lambda N: iter([(1,), (1, 0)]),
+         lambda: catalan_table(1), "row 1 has an entry < 1"),
+        (triangles, "borel_rows", lambda N: iter([(1,), (2,)]),
+         lambda: borel_table(1), "row 1 has 1 entries, expected 2"),
+        (rlseq, "_s_rows", lambda n: iter([(1,), (1, 1)]),
+         lambda: s_table_recurrence(1), r"row 1 has S\(1, 0\) = 1, expected 0"),
+        (_kernel, "component_histogram", lambda m: [1] * (m + 1),
+         lambda: s_table_enumerated(1), r"row 1 has S\(1, 0\) = 1, expected 0"),
+    ],
+    ids=["catalan_table", "borel_table", "s_table_recurrence", "s_table_enumerated"],
+)
+def test_each_table_builder_checks_its_rows(monkeypatch, module, name, bad_rows, build, message):
+    monkeypatch.setattr(module, name, bad_rows)
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_catalan_recurrence_agrees_with_formula():
     table = catalan_table(30)
     for n in range(31):
         for k in range(n + 1):
-            assert table.entry(n, k) == catalan_entry(n, k)
+            assert table[n][k] == catalan_entry(n, k)
 
 
 def test_catalan_diagonal_identity():
@@ -119,12 +145,12 @@ def test_borel_row_equals_entry_routes():
 
 
 def test_borel_table_recurrence_equals_row_and_entry_routes():
-    full = borel_table(60).rows
+    full = borel_table(60)
     for n, built in enumerate(full):
         assert list(built) == borel_row(n)
         assert list(built) == [borel_entry_explicit(n, k) for k in range(n + 1)]
     for N in range(60):
-        assert borel_table(N).rows == full[: N + 1]
+        assert borel_table(N) == full[: N + 1]
     with pytest.raises(TriangleIndexError):
         borel_table(-1)
 
@@ -159,11 +185,7 @@ def test_index_errors():
 
 def test_table_invariants_and_bounds():
     table = catalan_table(6)
-    assert "".join(format_rows(table.rows, "plain")).count("\n") == len(table.rows) == 7
-    with pytest.raises(TriangleIndexError):
-        table.entry(7, 0)
-    with pytest.raises(TriangleIndexError):
-        table.entry(3, 4)
+    assert "".join(format_rows(table, "plain")).count("\n") == len(table) == 7
 
 
 @pytest.mark.parametrize(
@@ -178,26 +200,26 @@ def test_table_invariants_and_bounds():
 )
 def test_table_check_refuses_bad_tables(rows, kind):
     with pytest.raises(ValueError):
-        TriangleTable(rows, kind=kind)
+        list(checked_rows(rows, kind))
 
 
 def test_csv_serialization():
     table = catalan_table(2)
-    assert "".join(format_rows(table.rows, "csv")) == "1\n1,1\n1,2,2\n"
+    assert "".join(format_rows(table, "csv")) == "1\n1,1\n1,2,2\n"
 
 
 def test_json_round_trip():
     table = borel_table(5)
-    payload = "".join(format_rows(table.rows, "json"))
+    payload = "".join(format_rows(table, "json"))
     parsed = json.loads(payload)
-    assert parsed == [[str(e) for e in row] for row in table.rows]
+    assert parsed == [[str(e) for e in row] for row in table]
     assert json.dumps(parsed) + "\n" == payload
-    assert [[int(e) for e in row] for row in parsed] == [list(r) for r in table.rows]
+    assert [[int(e) for e in row] for row in parsed] == [list(r) for r in table]
 
 
 @pytest.mark.parametrize(
     "rows",
-    [catalan_table(60).rows, borel_table(60).rows, s_table_recurrence(60).rows],
+    [catalan_table(60), borel_table(60), s_table_recurrence(60)],
     ids=["catalan", "borel", "s"],
 )
 def test_json_rows_are_json_dumps_text(rows):
@@ -217,9 +239,9 @@ def test_verify_borel_check_catches_a_wrong_entry(monkeypatch):
 
 def test_verify_borel_check_catches_a_wrong_table_entry(monkeypatch):
     def wrong_at_9_4(N):
-        rows = [list(r) for r in borel_table(N).rows]
+        rows = [list(r) for r in borel_table(N)]
         rows[9][4] += 1
-        return TriangleTable(tuple(map(tuple, rows)), kind="borel")
+        return tuple(map(tuple, rows))
 
     monkeypatch.setattr(verify, "borel_table", wrong_at_9_4)
     result = verify.check_borel_consistency(12)
