@@ -6,11 +6,10 @@ triangle and Dyck-path machinery they rest on.  All arithmetic is exact.
 """
 
 from treewalks.exact import ExactnessError
-from treewalks.oracle import dp_return_profile, dp_walk_count, weighted_dyck_count
+from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.rlseq import (
     RLSequence,
     components,
-    cumulative_s,
     delete_component_pair,
     enumerate_sequences,
     insert_component_pair,
@@ -59,7 +58,6 @@ __all__ = [
     "catalan_number",
     "catalan_table",
     "components",
-    "cumulative_s",
     "delete_component_pair",
     "dp_return_profile",
     "dp_walk_count",
@@ -77,5 +75,4 @@ __all__ = [
     "walks_via_catalan",
     "walks_via_components",
     "walks_with_k_returns",
-    "weighted_dyck_count",
 ]

@@ -13,17 +13,63 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
 
 from treewalks import fixtures as fx
 from treewalks import rlseq, verify
 from treewalks.series import gf_walk_counts, sqrt_coefficients
-from treewalks.triangles import borel_rows, catalan_rows, checked_rows, format_rows
+from treewalks.triangles import borel_rows, catalan_rows, checked_rows
 from treewalks.walks import ROUTES, walks_polynomial
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
+
+#: The subcommands, in the order ``--help`` lists them.
+COMMANDS = ("triangle", "walks", "poly", "stable", "verify")
+
+
+def _invalid_choice(word: str, choices: Iterable[str]) -> str:
+    """argparse's invalid-choice text as Python 3.10 to 3.13.0 print it, choices quoted."""
+    return f"invalid choice: {word!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
+    """An argparse ``type`` that refuses a word outside ``choices``.
+
+    argparse runs it before its own choices check, whose text later 3.13
+    patches changed, so the error reads the same on every Python.
+    """
+
+    def check(word: str) -> str:
+        if word not in choices:
+            raise argparse.ArgumentTypeError(_invalid_choice(word, choices))
+        return word
+
+    return check
+
+
+def format_rows(rows: Iterable[tuple[int, ...]], fmt: str) -> Iterator[str]:
+    """Rows of integers as text, one piece per row, ending in a newline.
+
+    ``fmt`` "json" gives an array of arrays of decimal strings (no
+    precision loss); "csv" gives one comma-separated line per row and
+    "plain" one space-separated line per row.  The first row is pulled
+    before any text is yielded, so a builder that refuses its input
+    prints nothing.
+    """
+    if fmt == "json":
+        # decimal strings need no escaping, so this is json.dumps's text
+        pieces = ('["' + '", "'.join(map(str, row)) + '"]' for row in rows)
+        yield "[" + next(pieces, "")
+        for piece in pieces:
+            yield ", " + piece
+        yield "]\n"
+        return
+    sep = "," if fmt == "csv" else " "
+    for row in rows:
+        yield sep.join(map(str, row)) + "\n"
 
 
 def _fixture_mismatch() -> bool:
@@ -114,18 +160,19 @@ def _cmd_stable(args: argparse.Namespace) -> int:
     if args.method == "enumerated":
         if args.enum_cap < 0:
             raise ValueError(f"--enum-cap must be >= 0, got {args.enum_cap}")
-        rows = rlseq.s_table_enumerated(args.n, cap=args.enum_cap)
+        rows = rlseq.s_table_enumerated(args.n, cap=args.enum_cap)  # checked there
     elif args.n < 0:
         raise ValueError(f"n must be >= 0, got {args.n}")
     elif args.method == "closed":
-        rows = (
+        closed = (
             (0, *(rlseq.s_closed_form(m, k) for k in range(1, m + 1))) if m else (1,)
             for m in range(args.n + 1)
         )
+        rows = checked_rows(closed, "s")
     else:
-        rows = rlseq._s_rows(args.n)
+        rows = checked_rows(rlseq._s_rows(args.n), "s")
     # rows m >= 1 are printed as S(m, 1..m), without the zero S(m, 0)
-    printed = (row[1:] if m else row for m, row in enumerate(checked_rows(rows, "s")))
+    printed = (row[1:] if m else row for m, row in enumerate(rows))
     sys.stdout.writelines(format_rows(printed, args.format))
     return EXIT_OK
 
@@ -160,11 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_choice(p: argparse.ArgumentParser, name: str, *choices: str, **kw) -> None:
+        p.add_argument(name, choices=choices, type=_one_of(choices), **kw)
+
     def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
+        add_choice(p, "--format", "plain", "csv", "json", default="plain")
 
     p = sub.add_parser("triangle", help="print Catalan's or Borel's triangle")
-    p.add_argument("kind", choices=["catalan", "borel"])
+    add_choice(p, "kind", "catalan", "borel")
     p.add_argument("--rows", type=int, required=True, help="largest row index N")
     add_format(p)
     p.add_argument("--check-fixture", action="store_true")
@@ -173,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walks", help="count closed walks of length 2n")
     p.add_argument("--n", type=int, required=True, help="half-length of the walk")
     p.add_argument("--delta", type=int, required=True, help="tree degree")
-    p.add_argument("--method", choices=[*ROUTES, "all"], default="catalan")
+    add_choice(p, "--method", *ROUTES, "all", default="catalan")
     add_format(p)
     p.add_argument(
         "--rational",
@@ -191,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stable", help="component-count table S(n, k)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--method", choices=["recurrence", "enumerated", "closed"], default="recurrence"
-    )
+    add_choice(p, "--method", "recurrence", "enumerated", "closed", default="recurrence")
     p.add_argument("--enum-cap", type=int, default=rlseq.ENUM_CAP_DEFAULT)
     add_format(p)
     p.set_defaults(func=_cmd_stable)
@@ -208,7 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # an unknown command is refused here in fixed text, as ``_one_of`` does
+    # for options; a first word starting with "-" is left to argparse, so
+    # that "-h anything" still prints the help
+    if argv and argv[0][:1] != "-" and argv[0] not in COMMANDS:
+        parser.error("argument command: " + _invalid_choice(argv[0], COMMANDS))
+    args = parser.parse_args(argv)
     # an exact answer may run past Python's 4,300-digit int -> str limit;
     # lift it while the command runs (3.10.0-3.10.6 have no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -1,35 +1,28 @@
 """Formula-independent ground truth for closed-walk counts.
 
-Two routes, independent of every closed form under test:
+A dynamic program on distance-from-root states, independent of every
+closed form under test: this module imports nothing from the package.
+On a tree a walk's future depends only on its current depth: every
+vertex at depth d >= 1 has one edge toward the root and delta - 1 away,
+and the root has delta away.  The adjacency matrix A is symmetric, so
 
-  * a dynamic program on distance-from-root states.  On a tree a walk's
-    future depends only on its current depth: every vertex at depth
-    d >= 1 has one edge toward the root and delta - 1 away, and the root
-    has delta away.  The adjacency matrix A is symmetric, so
+    A^(2n)[r, r] = sum_v (A^n[r, v])^2 = sum_d N_d a_d(n)^2,
 
-        A^(2n)[r, r] = sum_v (A^n[r, v])^2 = sum_d N_d a_d(n)^2,
-
-    where a_d(n) counts walks of length n from the root r to one fixed
-    vertex at depth d, and N_0 = 1, N_d = delta (delta-1)^(d-1) counts
-    the vertices at depth d.  The DP therefore runs n steps, not 2n,
-    on integers of half the bit length (the symmetric-walk view of
-    Kesten, Trans. AMS 92, 1959, and McKay, Linear Algebra Appl. 40,
-    1981).  The return profile runs the same n steps with each a_d a
-    polynomial in a return marker x, packed into one integer with a
-    B-bit slot per power of x, B = n (2 + delta.bit_length()); it joins
-    the halves as a_0(x)^2 (n even) + x sum_(d>=1) N_d a_d(x)^2.  Every
-    coefficient is at most 4^n delta^n < 2^B, so no slot carries,
-  * Dyck-path shapes counted by component number from enumerated
-    half-paths (every head and tail is enumerated, the whole paths are
-    not), weighted by delta^k (delta-1)^(n-k) for k components.
+where a_d(n) counts walks of length n from the root r to one fixed
+vertex at depth d, and N_0 = 1, N_d = delta (delta-1)^(d-1) counts the
+vertices at depth d.  The DP therefore runs n steps, not 2n, on integers
+of half the bit length (the symmetric-walk view of Kesten, Trans. AMS
+92, 1959, and McKay, Linear Algebra Appl. 40, 1981).  The return
+profile runs the same n steps with each a_d a polynomial in a return
+marker x, packed into one integer with a B-bit slot per power of x,
+B = n (2 + delta.bit_length()); it joins the halves as
+a_0(x)^2 (n even) + x sum_(d>=1) N_d a_d(x)^2.  Every coefficient is at
+most 4^n delta^n < 2^B, so no slot carries.
 """
 
 from __future__ import annotations
 
 from operator import add
-
-from treewalks import _kernel
-from treewalks.rlseq import ENUM_CAP_DEFAULT, check_enumeration_cap
 
 
 def _check(delta: int) -> None:
@@ -59,23 +52,9 @@ def dp_walk_count(n: int, delta: int) -> int:
     else:
         total, weight, rest = counts[0] ** 2, delta * (delta - 1), counts[1:]
     for a in rest:
-        total += weight * a * a
+        total += weight * (a * a)
         weight *= two_down
     return total
-
-
-def weighted_dyck_count(n: int, delta: int, cap: int = ENUM_CAP_DEFAULT) -> int:
-    """Sum over Dyck-path shapes of semi-length n of delta^k (delta-1)^(n-k)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check(delta)
-    check_enumeration_cap(n, cap)
-    hist = _kernel.component_histogram(n)
-    return sum(
-        count * delta**k * (delta - 1) ** (n - k)
-        for k, count in enumerate(hist)
-        if count
-    )
 
 
 def dp_return_profile(n: int, delta: int) -> list[int]:

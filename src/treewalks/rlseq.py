@@ -37,8 +37,8 @@ from treewalks import _kernel
 from treewalks.triangles import catalan_entry, checked_rows
 
 #: Default semi-length cap for enumeration.  Its ~2.7M whole paths bound
-#: only ``enumerate_sequences`` and the bijection check; the S-table and
-#: ``weighted_dyck_count`` enumerate half-paths alone.
+#: only ``enumerate_sequences`` and the bijection check; the S-table
+#: enumerates half-paths alone.
 ENUM_CAP_DEFAULT = 14
 
 
@@ -171,8 +171,6 @@ def components(seq: RLSequence | str) -> tuple[RLSequence, ...]:
 
 def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[RLSequence]:
     """All balanced legal sequences of length 2n, lexicographic with R < L."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     check_enumeration_cap(n, cap)
     return [RLSequence._from_mask(m, 2 * n) for m, _ in _kernel.dyck_paths(n)]
 
@@ -219,19 +217,6 @@ def s_closed_form(n: int, k: int) -> int:
     if not 1 <= k <= n:
         raise IndexError(f"need 1 <= k <= n, got (n={n}, k={k})")
     return catalan_entry(n - 1, n - k)
-
-
-def cumulative_s(n: int, k: int) -> int:
-    """Number of sequences of length 2n with at least k-1 components.
-
-    Equals sum_{j >= k-1} S(n, j), summed over row n of the recurrence.
-    Valid for 1 <= k <= n+1 (k = n+1 gives S(n, n) = 1).
-    """
-    if n < 0 or not 1 <= k <= n + 1:
-        raise IndexError(f"need n >= 0 and 1 <= k <= n+1, got (n={n}, k={k})")
-    for row in _s_rows(n):
-        pass
-    return sum(row[k - 1 :])
 
 
 def _delete(mask: int, ends: list[int], i: int) -> int:

@@ -105,28 +105,6 @@ def checked_rows(rows: Iterable[tuple[int, ...]], kind: str) -> Iterator[tuple[i
         yield row
 
 
-def format_rows(rows: Iterable[tuple[int, ...]], fmt: str) -> Iterator[str]:
-    """Rows of integers as text, one piece per row, ending in a newline.
-
-    ``fmt`` "json" gives an array of arrays of decimal strings (no
-    precision loss); "csv" gives one comma-separated line per row and
-    "plain" one space-separated line per row.  The first row is pulled
-    before any text is yielded, so a builder that refuses its input
-    prints nothing.
-    """
-    if fmt == "json":
-        # decimal strings need no escaping, so this is json.dumps's text
-        pieces = ('["' + '", "'.join(map(str, row)) + '"]' for row in rows)
-        yield "[" + next(pieces, "")
-        for piece in pieces:
-            yield ", " + piece
-        yield "]\n"
-        return
-    sep = "," if fmt == "csv" else " "
-    for row in rows:
-        yield sep.join(map(str, row)) + "\n"
-
-
 def catalan_rows(N: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..N of Catalan's triangle via the additive ballot recurrence.
 

@@ -251,7 +251,7 @@ def check_fixtures() -> CheckResult:
     return _passed(name, entries)
 
 
-def run_all(max_n: int = 12, max_delta: int = 6, enum_cap: int = 8) -> list[CheckResult]:
+def run_all(max_n: int, max_delta: int, enum_cap: int) -> list[CheckResult]:
     return [
         check_method_agreement(max_n, max_delta),
         check_s_table(max_n, enum_cap),

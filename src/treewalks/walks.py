@@ -82,7 +82,7 @@ class DeltaPolynomial(namedtuple("DeltaPolynomial", "coefficients")):
 def walks_via_components(n: int, delta: int) -> int:
     """Closed walks of length 2n via the component-count recurrence.
 
-    Weights row n of the S recurrence, S(n, k) = cumulative_s(n-1, k),
+    Weights row n of the S recurrence, S(n, k) = sum_{j>=k-1} S(n-1, j),
     holding one row at a time.  The weighting is homogeneous Horner,
     h <- h delta + S(n, k) (delta-1)^(n-k) for k = n down to 1, with the
     power advanced by one product per term, so W = delta h.

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import treewalks
-from treewalks import cli, rlseq, verify
+from treewalks import cli, rlseq, triangles, verify
 from treewalks import fixtures as fx
 from treewalks.series import gf_walk_counts
 
@@ -201,6 +201,22 @@ def test_stable_enum_cap(capsys):
         assert out == run(capsys, "stable", "--n", "9", "--method", method)[1]
 
 
+@pytest.mark.parametrize("method", ["recurrence", "enumerated", "closed"])
+def test_stable_checks_each_row_once(capsys, monkeypatch, method):
+    table, checked = list(rlseq.s_table_recurrence(6)), []
+
+    def counting(rows, kind):
+        for row in triangles.checked_rows(rows, kind):
+            checked.append(row)
+            yield row
+
+    # the enumerated rows are checked by their builder, the others by the CLI
+    monkeypatch.setattr(cli, "checked_rows", counting)
+    monkeypatch.setattr(rlseq, "checked_rows", counting)
+    code, _, _ = run(capsys, "stable", "--n", "6", "--method", method)
+    assert (code, checked) == (0, table)
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "--max-n", "8", "--max-delta", "4", "--enum-cap", "6"
@@ -212,7 +228,7 @@ def test_verify_passes(capsys):
 
 
 def test_every_verify_check_counts_its_cases():
-    results = verify.run_all()
+    results = verify.run_all(12, 6, 8)
     assert len(results) == 7
     for r in results:
         assert r.passed and r.cases > 0, r
@@ -221,7 +237,7 @@ def test_every_verify_check_counts_its_cases():
 
 
 def test_a_check_that_compares_nothing_fails():
-    results = verify.run_all(max_n=0)
+    results = verify.run_all(0, 6, 8)
     failed = [(r.detail, r.cases) for r in results if not r.passed]
     assert failed == [("checked nothing", 0)] * 5
     assert all(r.cases > 0 for r in results if r.passed)
@@ -299,6 +315,20 @@ def test_usage_error_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_the_command_tuple_is_the_parsers(capsys):
+    # an unknown command is refused before argparse, from ``cli.COMMANDS``
+    assert "{" + ",".join(cli.COMMANDS) + "}" in cli.build_parser().format_usage()
+    for command in cli.COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h", "frobnicate"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: treewalks [-h]")
 
 
 def test_determinism(capsys):

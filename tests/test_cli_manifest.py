@@ -8,12 +8,15 @@ A change that alters some output on purpose rewrites the manifest with
 
     PYTHONPATH=src python tests/test_cli_manifest.py --write
 
-and names the entries that changed.  The big-answer and streaming cases
+and names the entries that changed.  ``--check`` in place of ``--write``
+prints every mismatching entry and exits 1 if there is one, under any
+interpreter, with or without pytest.  The big-answer and streaming cases
 stay in ``test_cli.py``; the sizes here are small.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -52,18 +55,49 @@ def outcomes() -> dict[str, dict]:
     return {shlex.join(argv): outcome(argv) for argv in json.loads(CORPUS.read_text())}
 
 
-def test_every_corpus_invocation_matches_the_manifest(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+def mismatches() -> list[str]:
+    """Every argv, as one shell line, whose outcome is not the manifest's.
+
+    An argv in only one of the corpus and the manifest is a mismatch too.
+    """
     expected = json.loads(MANIFEST.read_text())
     got = outcomes()
-    assert got.keys() == expected.keys()
-    changed = [argv for argv, result in got.items() if result != expected[argv]]
+    return [argv for argv in {**expected, **got} if got.get(argv) != expected.get(argv)]
+
+
+def test_every_corpus_invocation_matches_the_manifest(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    changed = mismatches()
+    assert not changed, f"{len(changed)} invocations changed, first {changed[:5]}"
+
+
+def _check_value_listing_with_str(self, action, value):
+    """argparse's choices check as later 3.13 patches have it: choices unquoted."""
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        message = f"invalid choice: {str(value)!r} (choose from {choices})"
+        raise argparse.ArgumentError(action, message)
+
+
+def test_the_manifest_holds_under_the_later_313_choices_wording(monkeypatch):
+    # The corpus's seven invalid-choice argv (an unknown command, kind,
+    # --method and --format) are the entries this wording would change.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", _check_value_listing_with_str)
+    changed = mismatches()
     assert not changed, f"{len(changed)} invocations changed, first {changed[:5]}"
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: python {sys.argv[0]} --write")
+    if sys.argv[1:] not in (["--write"], ["--check"]):
+        sys.exit(f"usage: python {sys.argv[0]} --write | --check")
     os.environ["COLUMNS"] = "80"
+    if sys.argv[1] == "--check":
+        changed = mismatches()
+        for argv in changed:
+            print(f"mismatch: {argv}")
+        total = len(json.loads(MANIFEST.read_text()))
+        print(f"{len(changed)} mismatches; the manifest has {total} entries")
+        sys.exit(1 if changed else 0)
     entries = (f"{json.dumps(argv)}: {json.dumps(result)}" for argv, result in outcomes().items())
     MANIFEST.write_text("{\n" + ",\n".join(entries) + "\n}\n")

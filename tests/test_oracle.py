@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treewalks.oracle import (
-    dp_return_profile,
-    dp_walk_count,
-    weighted_dyck_count,
-)
-from treewalks.rlseq import EnumerationCapError
+from treewalks import oracle
+from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.walks import walks_with_k_returns
 
 
@@ -53,30 +52,6 @@ def test_half_length_dp_matches_two_n_step_dp(delta):
 @pytest.mark.parametrize("delta", [3, 20])
 def test_half_length_dp_matches_two_n_step_dp_at_large_n(n, delta):
     assert dp_walk_count(n, delta) == _two_n_step_dp(2 * n, delta)
-
-
-def test_weighted_dyck_examples():
-    assert weighted_dyck_count(2, 3) == 15  # 3^2 (RLRL) + 3*2 (RRLL)
-    assert weighted_dyck_count(3, 2) == 20
-    for delta in range(1, 8):
-        assert weighted_dyck_count(1, delta) == delta
-
-
-def test_weighted_dyck_matches_dp():
-    for n in range(1, 13):
-        for delta in range(1, 7):
-            assert weighted_dyck_count(n, delta) == dp_walk_count(n, delta)
-
-
-@pytest.mark.parametrize("n", [13, 14])
-@pytest.mark.parametrize("delta", [1, 2, 3, 7])
-def test_weighted_dyck_matches_dp_up_to_default_cap(n, delta):
-    assert weighted_dyck_count(n, delta) == dp_walk_count(n, delta)
-
-
-def test_weighted_dyck_cap():
-    with pytest.raises(EnumerationCapError):
-        weighted_dyck_count(9, 3, cap=8)
 
 
 def test_return_profile_examples():
@@ -174,5 +149,15 @@ def test_domain_errors():
         dp_walk_count(3, 0)
     with pytest.raises(ValueError):
         dp_return_profile(0, 3)
-    with pytest.raises(ValueError):
-        weighted_dyck_count(0, 3)
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the ground truth must not run the code it is the check of
+    modules = []
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    package = [m for m in modules if m.startswith(".") or m.split(".")[0] == "treewalks"]
+    assert modules and not package, package

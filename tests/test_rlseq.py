@@ -15,14 +15,14 @@ from treewalks.rlseq import (
     IllegalSequenceError,
     RLSequence,
     components,
-    cumulative_s,
     enumerate_sequences,
     is_balanced_legal,
     s_closed_form,
     s_table_enumerated,
     s_table_recurrence,
 )
-from treewalks.triangles import catalan_entry, catalan_number, format_rows
+from treewalks.cli import format_rows
+from treewalks.triangles import catalan_number
 
 
 def test_is_balanced_legal_basics():
@@ -215,6 +215,8 @@ def test_negative_n_rejected():
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         next(_kernel.dyck_paths(-1))
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        enumerate_sequences(-1)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         _kernel.component_histogram(-1)
 
 
@@ -262,20 +264,6 @@ def test_row_sums_are_catalan():
     rec = s_table_recurrence(12)
     for n in range(1, 13):
         assert sum(rec[n][k] for k in range(1, n + 1)) == catalan_number(n)
-
-
-def test_cumulative_s():
-    assert cumulative_s(0, 1) == 1
-    assert cumulative_s(2, 2) == 2 == catalan_entry(2, 1)
-    assert cumulative_s(3, 3) == 3 == catalan_entry(3, 1)
-    # identity with the Catalan triangle: sum_{j>=k-1} S(n-1, j) = C(n-1, n-k)
-    for n in range(1, 11):
-        for k in range(1, n + 1):
-            assert cumulative_s(n - 1, k) == catalan_entry(n - 1, n - k)
-    with pytest.raises(IndexError):
-        cumulative_s(3, 5)
-    with pytest.raises(IndexError):
-        cumulative_s(3, 0)
 
 
 def test_stable_serialization_round_trip():

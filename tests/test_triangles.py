@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from treewalks import _kernel, rlseq, triangles, verify
+from treewalks.cli import format_rows
 from treewalks.rlseq import s_table_enumerated, s_table_recurrence
 from treewalks.triangles import (
     TriangleIndexError,
@@ -20,7 +21,6 @@ from treewalks.triangles import (
     catalan_number,
     catalan_table,
     checked_rows,
-    format_rows,
 )
 
 # rows 0..7 of both triangles, frozen from the published tables
