@@ -29,7 +29,6 @@ from treewalks.triangles import (
     catalan_table,
 )
 from treewalks.walks import (
-    DeltaPolynomial,
     first_return_count,
     second_return_count,
     walks_polynomial,
@@ -48,7 +47,6 @@ KERNEL_BACKEND = "python"
 __all__ = [
     "KERNEL_BACKEND",
     "RLSequence",
-    "DeltaPolynomial",
     "ExactnessError",
     "borel_entry_explicit",
     "borel_entry_transform",

@@ -29,6 +29,8 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 #: The subcommands, in the order ``--help`` lists them.
 COMMANDS = ("triangle", "walks", "poly", "stable", "verify")
 
+_SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
 
 def _invalid_choice(word: str, choices: Iterable[str]) -> str:
     """argparse's invalid-choice text as Python 3.10 to 3.13.0 print it, choices quoted."""
@@ -70,6 +72,27 @@ def format_rows(rows: Iterable[tuple[int, ...]], fmt: str) -> Iterator[str]:
     sep = "," if fmt == "csv" else " "
     for row in rows:
         yield sep.join(map(str, row)) + "\n"
+
+
+def _render(coefficients: tuple[int, ...], ascii_only: bool) -> str:
+    """A walk polynomial, coefficients of degree^n down to degree^1, as text."""
+    var = "d" if ascii_only else "δ"
+    minus = "-" if ascii_only else "−"
+    terms = []
+    for l, c in zip(range(len(coefficients), 0, -1), coefficients):
+        mag = abs(c)
+        if l == 1:
+            power = ""
+        elif ascii_only:
+            power = f"^{l}"
+        else:
+            power = str(l).translate(_SUPERSCRIPTS)
+        term = f"{'' if mag == 1 else mag}{var}{power}"
+        if not terms:
+            terms.append(term if c > 0 else f"{minus}{term}")
+        else:
+            terms.append(f" {minus} {term}" if c < 0 else f" + {term}")
+    return "".join(terms)
 
 
 def _fixture_mismatch() -> bool:
@@ -135,13 +158,13 @@ def _cmd_walks(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    poly = walks_polynomial(args.n)
+    coefficients = walks_polynomial(args.n)
     if args.format == "json":
-        print(json.dumps(list(map(str, poly.coefficients))))
+        print(json.dumps(list(map(str, coefficients))))
     elif args.format == "csv":
-        print(",".join(map(str, poly.coefficients)))
+        print(",".join(map(str, coefficients)))
     else:
-        print(poly.render(ascii_only=args.ascii))
+        print(_render(coefficients, args.ascii))
     if args.check_fixture:
         fixture = fx.WALK_POLYNOMIALS
         if args.n not in fixture:
@@ -259,9 +282,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     # an unknown command is refused here in fixed text, as ``_one_of`` does
-    # for options; a first word starting with "-" is left to argparse, so
-    # that "-h anything" still prints the help
-    if argv and argv[0][:1] != "-" and argv[0] not in COMMANDS:
+    # for options.  argparse's own test says whether it would read the
+    # first word as the command ("-", "-5" and "-a b" included) or as an
+    # option, so that "-h anything" still prints the help
+    if argv and argv[0] not in COMMANDS and parser._parse_optional(argv[0]) is None:
         parser.error("argument command: " + _invalid_choice(argv[0], COMMANDS))
     args = parser.parse_args(argv)
     # an exact answer may run past Python's 4,300-digit int -> str limit;

@@ -4,14 +4,14 @@ TRIANGLES: rows 0..7 of Catalan's and Borel's triangles, row n with
 n + 1 entries.
 
 WALK_POLYNOMIALS: n -> the walk-polynomial coefficients for n = 1..6,
-exponent-descending.
+exponent-descending, as ``walks.walks_polynomial(n)`` returns them.
 
 K_RETURN_MULTIPLIERS: (n, k) -> m for 1 <= k <= n <= 6, where m is the
 shape count multiplying delta^k (delta-1)^(n-k) in the per-return
 breakdown of W(2n).
 
-The rows are lists, so a computed row tuple compares equal to one only
-after ``list(row)``; nothing may mutate them.
+The rows and coefficient lists are lists, so a computed tuple compares
+equal to one only after ``list()``; nothing may mutate them.
 """
 
 TRIANGLES = {

@@ -30,31 +30,42 @@ def _check(delta: int) -> None:
         raise ValueError(f"delta must be >= 1, got {delta}")
 
 
+def _packed_walks(n: int, delta: int, bits: int) -> int:
+    """(root >> bits) + away after n steps, a_d(x) packed in ``bits``-bit slots.
+
+    root = a_0(x)^2 (0 for odd n) and away = sum_(d>=1) N_d a_d(x)^2;
+    with ``bits = 0`` the return marker x is 1: the plain count.
+    """
+    # counts[i] = a_d, the walks of `step` steps from the root to one
+    # fixed vertex at depth d = 2i + step % 2; no other depth is reached.
+    # A step sets a_0 <- delta x a_1 and a_d <- a_(d-1) + (delta-1) a_(d+1)
+    # for d >= 1; `up` holds the latter for every depth d >= 1 of the new
+    # parity, and the root is prepended on even steps.  A step into the
+    # root is a return, so x shifts it up one slot.
+    scale = (delta - 1).__mul__
+    counts = [1]
+    for step in range(1, n + 1):
+        up = [*map(add, counts, map(scale, counts[1:])), counts[-1]]
+        counts = [delta * counts[0] << bits, *up] if step % 2 == 0 else up
+    # weight each depth by N_d; N_(d+2) = N_d (delta-1)^2 for d >= 1
+    two_down = (delta - 1) ** 2
+    if n % 2:
+        root, weight, rest = 0, delta, counts
+    else:
+        root, weight, rest = counts[0] ** 2, delta * (delta - 1), counts[1:]
+    away = 0
+    for a in rest:
+        away += weight * (a * a)
+        weight *= two_down
+    return (root >> bits) + away
+
+
 def dp_walk_count(n: int, delta: int) -> int:
     """Closed walks of length 2n from the root, by the distance-state DP."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _check(delta)
-    # counts[i] = a_d, the walks of `step` steps from the root to one
-    # fixed vertex at depth d = 2i + step % 2; no other depth is reached.
-    # A step sets a_0 <- delta a_1 and a_d <- a_(d-1) + (delta-1) a_(d+1)
-    # for d >= 1; `up` holds the latter for every depth d >= 1 of the new
-    # parity, and the root is prepended on even steps.
-    scale = (delta - 1).__mul__
-    counts = [1]
-    for step in range(1, n + 1):
-        up = [*map(add, counts, map(scale, counts[1:])), counts[-1]]
-        counts = [delta * counts[0], *up] if step % 2 == 0 else up
-    # weight each depth by N_d; N_(d+2) = N_d (delta-1)^2 for d >= 1
-    two_down = (delta - 1) ** 2
-    if n % 2:
-        total, weight, rest = 0, delta, counts
-    else:
-        total, weight, rest = counts[0] ** 2, delta * (delta - 1), counts[1:]
-    for a in rest:
-        total += weight * (a * a)
-        weight *= two_down
-    return total
+    return _packed_walks(n, delta, 0)
 
 
 def dp_return_profile(n: int, delta: int) -> list[int]:
@@ -87,26 +98,9 @@ def dp_return_profile(n: int, delta: int) -> list[int]:
         raise ValueError(f"n must be >= 1, got {n}")
     _check(delta)
     bits = n * (2 + delta.bit_length())
-    # counts[i] = a_d(x) at depth d = 2i + step % 2, as in dp_walk_count;
-    # a step into the root is a return, so it multiplies by delta x.
-    scale = (delta - 1).__mul__
-    counts = [1]
-    for step in range(1, n + 1):
-        up = [*map(add, counts, map(scale, counts[1:])), counts[-1]]
-        counts = [delta * counts[0] << bits, *up] if step % 2 == 0 else up
-    # weight each depth by N_d; N_(d+2) = N_d (delta-1)^2 for d >= 1
-    two_down = (delta - 1) ** 2
-    if n % 2:
-        root, weight, rest = 0, delta, counts
-    else:
-        root, weight, rest = counts[0] ** 2, delta * (delta - 1), counts[1:]
-    away = 0
-    for a in rest:
-        away += weight * (a * a)
-        weight *= two_down
     # a walk into the root has returned at least once, so root's slot 0
     # is empty; slot k-1 of `packed` is the coefficient of x^k in P
-    packed = (root >> bits) + away
+    packed = _packed_walks(n, delta, bits)
     mask = (1 << bits) - 1
     profile = []
     for _ in range(n):

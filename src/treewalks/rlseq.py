@@ -25,7 +25,10 @@ S(m, 0) = 0 for m >= 1.  This is the layout
 
 The string form over {R, L} is the interface representation.  Inside, a
 sequence is a (mask, length) pair in the bit layout of ``treewalks._kernel``
-(R = set bit); only that module and this one read the bits.
+(R = set bit).  That module and this one read the bits, and so, for
+speed, does ``verify.check_bijection``: it takes masks from
+``_kernel.dyck_paths`` and passes them to ``_delete``, ``_insert``,
+``_component_ends`` and ``RLSequence._from_mask``.
 """
 
 from __future__ import annotations

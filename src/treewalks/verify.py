@@ -170,7 +170,7 @@ def check_bijection(max_n: int) -> CheckResult:
     return _passed(name, pairs)
 
 
-def check_borel_consistency(max_n: int = 30) -> CheckResult:
+def check_borel_consistency(max_n: int) -> CheckResult:
     """Explicit formula, transform, ``borel_row`` and ``borel_table`` agree.
 
     The four routes are compared entry by entry for rows 0..max_n.
@@ -236,7 +236,7 @@ def check_fixtures() -> CheckResult:
                         name, False, f"{kind} triangle (n={n}, k={k}): computed {c}, fixture {f}"
                     )
     for n, expected in polys.items():
-        got = list(walks_polynomial(n).coefficients)
+        got = list(walks_polynomial(n))
         if got != expected:
             return CheckResult(
                 name, False, f"polynomial n={n}: computed {got}, fixture {expected}"

@@ -5,8 +5,9 @@ W(2n, delta) is computed by three mutually independent closed forms:
   * components route:  sum_k delta^k (delta-1)^(n-k) * |{paths of
     semi-length n-1 with >= k-1 components}|
   * Catalan route:     sum_k delta^k (delta-1)^(n-k) * C(n-1, n-k)
-  * Borel route:       sum_l (-1)^(n-l) * B(n-1, n-l) * delta^l, with
-                       Borel row n-1 from ``borel_row``: O(n) exact
+  * Borel route:       sum_l (-1)^(n-l) * B(n-1, n-l) * delta^l, by
+                       Horner's rule on ``walks_polynomial(n)``, the
+                       signed Borel row n-1 from ``borel_row``: O(n) exact
                        ratio steps down from B(n-1, n-1) = Cat(n-1)
 
 All three must agree exactly with each other and with the DP and
@@ -19,15 +20,11 @@ exist.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from treewalks.exact import ExactnessError, exact_div
 from treewalks.oracle import dp_walk_count
 from treewalks.rlseq import _s_rows
 from treewalks.series import gf_walk_counts
 from treewalks.triangles import borel_row, catalan_entry, catalan_number
-
-_SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 def _check_domain(n: int, delta: int, min_n: int = 1) -> None:
@@ -35,48 +32,6 @@ def _check_domain(n: int, delta: int, min_n: int = 1) -> None:
         raise ValueError(f"n must be >= {min_n}, got {n}")
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
-
-
-class DeltaPolynomial(namedtuple("DeltaPolynomial", "coefficients")):
-    """Walk-count polynomial in the tree degree, exponents n down to 1.
-
-    ``coefficients`` is Borel row n-1 with alternating signs: entry i is
-    the (signed, exact) coefficient of degree^(n-i), namely
-    (-1)^i B(n-1, i).  It starts at B(n-1, 0), the n-th Catalan number;
-    every entry is non-zero, and there is no constant term.
-    """
-
-    __slots__ = ()
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients)
-
-    def evaluate(self, delta: int) -> int:
-        """Value at ``delta``, by Horner's rule from the top coefficient."""
-        h = 0
-        for c in self.coefficients:
-            h = h * delta + c
-        return h * delta  # no constant term
-
-    def render(self, ascii_only: bool = False) -> str:
-        var = "d" if ascii_only else "δ"
-        minus = "-" if ascii_only else "−"
-        terms = []
-        for l, c in zip(range(self.degree, 0, -1), self.coefficients):
-            mag = abs(c)
-            if l == 1:
-                power = ""
-            elif ascii_only:
-                power = f"^{l}"
-            else:
-                power = str(l).translate(_SUPERSCRIPTS)
-            term = f"{'' if mag == 1 else mag}{var}{power}"
-            if not terms:
-                terms.append(term if c > 0 else f"{minus}{term}")
-            else:
-                terms.append(f" {minus} {term}" if c < 0 else f" + {term}")
-        return "".join(terms)
 
 
 def walks_via_components(n: int, delta: int) -> int:
@@ -116,16 +71,25 @@ def walks_via_catalan(n: int, delta: int) -> int:
 
 
 def walks_via_borel(n: int, delta: int) -> int:
-    """Closed walks of length 2n via Borel-triangle coefficients."""
+    """Closed walks of length 2n via Borel-triangle coefficients, by Horner's rule."""
     _check_domain(n, delta)
-    return walks_polynomial(n).evaluate(delta)
+    h = 0
+    for c in walks_polynomial(n):
+        h = h * delta + c
+    return h * delta  # no constant term
 
 
-def walks_polynomial(n: int) -> DeltaPolynomial:
-    """Walk-count polynomial: coefficient of degree^l is (-1)^(n-l) B(n-1, n-l)."""
+def walks_polynomial(n: int) -> tuple[int, ...]:
+    """Walk-count polynomial in the tree degree, exponents n down to 1.
+
+    Entry i is the coefficient of degree^(n-i), namely (-1)^i B(n-1, i):
+    Borel row n-1 with alternating signs.  It starts at B(n-1, 0), the
+    n-th Catalan number; every entry is non-zero, and there is no
+    constant term, so the degree is the tuple's length.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return DeltaPolynomial(tuple(-b if i % 2 else b for i, b in enumerate(borel_row(n - 1))))
+    return tuple(-b if i % 2 else b for i, b in enumerate(borel_row(n - 1)))
 
 
 #: The five routes to W(2n, delta) as ``route(n, delta)``, in the order

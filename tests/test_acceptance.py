@@ -101,7 +101,7 @@ def test_criterion_2_polynomial_reproduction():
         assert fx.WALK_POLYNOMIALS == POLY_TABLE
         assert fx.K_RETURN_MULTIPLIERS == K_RETURN_TABLE
         for n, coeffs in POLY_TABLE.items():
-            assert list(walks_polynomial(n).coefficients) == coeffs
+            assert list(walks_polynomial(n)) == coeffs
         for (n, k), mult in K_RETURN_TABLE.items():
             assert catalan_entry(n - 1, n - k) == mult
             for delta in (1, 2, 3, 7):
