@@ -8,7 +8,6 @@ triangle and Dyck-path machinery they rest on.  All arithmetic is exact.
 from treewalks.exact import ExactnessError
 from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.rlseq import (
-    RLSequence,
     components,
     delete_component_pair,
     enumerate_sequences,
@@ -46,7 +45,6 @@ KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",
-    "RLSequence",
     "ExactnessError",
     "borel_entry_explicit",
     "borel_entry_transform",

@@ -281,12 +281,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    # an unknown command is refused here in fixed text, as ``_one_of`` does
-    # for options.  argparse's own test says whether it would read the
-    # first word as the command ("-", "-5" and "-a b" included) or as an
-    # option, so that "-h anything" still prints the help
-    if argv and argv[0] not in COMMANDS and parser._parse_optional(argv[0]) is None:
-        parser.error("argument command: " + _invalid_choice(argv[0], COMMANDS))
+    # the words before the command are read here, in fixed text, since
+    # argparse's reading of them changed within 3.10-3.13.  A help word,
+    # "-hx" and "-h x" included, prints the help; "--" and every word that
+    # argparse's own test reads as the command ("-", "-5" and "-a b"
+    # included) must be a command; any other option word is passed over,
+    # for argparse to refuse as unrecognized
+    for word in argv:
+        if word in COMMANDS:
+            break
+        if word.startswith("-h") or len(word) > 2 and "--help".startswith(word):
+            parser.print_help()
+            parser.exit()
+        if word == "--" or parser._parse_optional(word) is None:
+            parser.error("argument command: " + _invalid_choice(word, COMMANDS))
     args = parser.parse_args(argv)
     # an exact answer may run past Python's 4,300-digit int -> str limit;
     # lift it while the command runs (3.10.0-3.10.6 have no limit)
@@ -297,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -23,12 +23,12 @@ An S-table is a tuple of rows, row m being S(m, 0..m): (1,), (0, 1),
 S(m, 0) = 0 for m >= 1.  This is the layout
 ``_kernel.component_histogram(m)`` returns.
 
-The string form over {R, L} is the interface representation.  Inside, a
-sequence is a (mask, length) pair in the bit layout of ``treewalks._kernel``
-(R = set bit).  That module and this one read the bits, and so, for
-speed, does ``verify.check_bijection``: it takes masks from
-``_kernel.dyck_paths`` and passes them to ``_delete``, ``_insert``,
-``_component_ends`` and ``RLSequence._from_mask``.
+A sequence is its word over {R, L}: the word functions here take and
+return plain ``str``.  Inside, a word is a (mask, length) pair in the bit
+layout of ``treewalks._kernel`` (R = set bit), and ``_word`` spells a mask
+back.  That module and this one read the bits, and so, for speed, does
+``verify.check_bijection``: it takes masks from ``_kernel.dyck_paths`` and
+passes them to ``_delete``, ``_insert`` and ``_component_ends``.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from itertools import accumulate
 from treewalks import _kernel
 from treewalks.triangles import catalan_entry, checked_rows
 
-#: Default semi-length cap for enumeration.  Its ~2.7M whole paths bound
-#: only ``enumerate_sequences`` and the bijection check; the S-table
-#: enumerates half-paths alone.
+#: Default semi-length cap of ``enumerate_sequences``, ``s_table_enumerated``
+#: and ``stable --enum-cap``.  Its ~2.7M whole paths bound only
+#: ``enumerate_sequences``; the S-table enumerates half-paths alone.  The
+#: bijection check has its own bound, ``verify --enum-cap`` (default 8).
 ENUM_CAP_DEFAULT = 14
 
 
@@ -115,67 +116,33 @@ def _component_ends(mask: int, length: int) -> list[int] | None:
     return None if height else ends
 
 
-class RLSequence:
-    """Immutable balanced legal RL-sequence."""
-
-    __slots__ = ("_mask", "_length")
-
-    def __init__(self, word: str):
-        self._mask = _scan(word)
-        self._length = len(word)
-
-    @classmethod
-    def _from_mask(cls, mask: int, length: int) -> "RLSequence":
-        # trusted constructor: mask already known balanced legal
-        obj = object.__new__(cls)
-        obj._mask = mask
-        obj._length = length
-        return obj
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __str__(self) -> str:
-        return "".join(
-            "R" if self._mask >> p & 1 else "L" for p in range(self._length)
-        )
-
-    def __repr__(self) -> str:
-        return f"RLSequence({str(self)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RLSequence):
-            return NotImplemented
-        return self._mask == other._mask and self._length == other._length
-
-    def __hash__(self) -> int:
-        return hash((self._mask, self._length))
-
-    @property
-    def component_count(self) -> int:
-        return len(_component_ends(self._mask, self._length))
+def _word(mask: int, length: int) -> str:
+    """The word of a mask's first ``length`` steps; length 0 gives ""."""
+    return "".join("R" if mask >> p & 1 else "L" for p in range(length))
 
 
-def _with_ends(seq: RLSequence | str) -> tuple[RLSequence, list[int]]:
-    """``seq`` as an RLSequence, parsed if it is a word, and its component ends."""
-    if isinstance(seq, str):
-        seq = RLSequence(seq)
-    return seq, _component_ends(seq._mask, seq._length)
+def _with_ends(word: str) -> tuple[int, list[int]]:
+    """A balanced legal word's mask and component ends; raises on any other word."""
+    mask = _scan(word)
+    return mask, _component_ends(mask, len(word))
 
 
-def components(seq: RLSequence | str) -> tuple[RLSequence, ...]:
-    """Split a balanced legal sequence at its returns to height 0, in order."""
-    seq, ends = _with_ends(seq)
-    return tuple(
-        RLSequence._from_mask(seq._mask >> start & ((1 << (end - start)) - 1), end - start)
-        for start, end in zip([0, *ends], ends)
-    )
+def components(word: str) -> tuple[str, ...]:
+    """Split a balanced legal word at its returns to height 0, in order."""
+    _, ends = _with_ends(word)
+    return tuple(word[start:end] for start, end in zip([0, *ends], ends))
 
 
-def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[RLSequence]:
-    """All balanced legal sequences of length 2n, lexicographic with R < L."""
+def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[str]:
+    """All balanced legal words of length 2n, lexicographic with R < L."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     check_enumeration_cap(n, cap)
-    return [RLSequence._from_mask(m, 2 * n) for m, _ in _kernel.dyck_paths(n)]
+    # a path is its head's n letters then its tail's, so every n-letter
+    # word is spelled once per call and each path is one join
+    halves = [_word(m, n) for m in range(1 << n)]
+    low = (1 << n) - 1
+    return [halves[m & low] + halves[m >> n] for m, _ in _kernel.dyck_paths(n)]
 
 
 def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> tuple[tuple[int, ...], ...]:
@@ -230,18 +197,18 @@ def _delete(mask: int, ends: list[int], i: int) -> int:
     return low | inner | (mask >> end) << (end - 2)
 
 
-def delete_component_pair(seq: RLSequence | str, i: int) -> RLSequence:
+def delete_component_pair(word: str, i: int) -> str:
     """Remove the outer R...L pair of the i-th component (1-based).
 
     The bijection's deletion map: the i-th component R w L becomes w,
     which may itself be empty or split into several components.
     """
-    seq, ends = _with_ends(seq)
+    mask, ends = _with_ends(word)
     if not 1 <= i <= len(ends):
         raise ComponentIndexError(
             f"component index {i} out of range 1..{len(ends)}"
         )
-    return RLSequence._from_mask(_delete(seq._mask, ends, i), seq._length - 2)
+    return _word(_delete(mask, ends, i), len(word) - 2)
 
 
 def _insert(mask: int, ends: list[int], i: int, k: int) -> int:
@@ -253,16 +220,16 @@ def _insert(mask: int, ends: list[int], i: int, k: int) -> int:
     return low | 1 << start | wrapped << 1 | (mask >> end) << (end + 2)
 
 
-def insert_component_pair(alpha: RLSequence | str, i: int, k: int) -> RLSequence:
+def insert_component_pair(alpha: str, i: int, k: int) -> str:
     """Inverse of deletion: wrap components i..(j-k+i) of alpha in R...L.
 
     alpha has j components; the result has exactly k components and the
     wrapped block sits at position i.  Requires 1 <= i <= k <= j + 1.
     """
-    alpha, ends = _with_ends(alpha)
+    mask, ends = _with_ends(alpha)
     j = len(ends)
     if not (1 <= i <= k and j >= k - 1):
         raise ComponentIndexError(
             f"need 1 <= i <= k and components >= k-1, got (i={i}, k={k}, components={j})"
         )
-    return RLSequence._from_mask(_insert(alpha._mask, ends, i, k), alpha._length + 2)
+    return _word(_insert(mask, ends, i, k), len(alpha) + 2)

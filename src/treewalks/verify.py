@@ -155,7 +155,7 @@ def check_bijection(max_n: int) -> CheckResult:
                     back_ends = rlseq._component_ends(back, 2 * n)
                     ok = back_ends is not None and len(back_ends) == k
                     fault = "round trip" if ok else "insert postcondition"
-                    word = rlseq.RLSequence._from_mask(alpha, 2 * n - 2)
+                    word = rlseq._word(alpha, 2 * n - 2)
                     return CheckResult(name, False, f"{fault} fails at {word}, i={i}, k={k}")
             count += k
         triples = sum((len(e) + 1) * (len(e) + 2) // 2 for e in prev.values())

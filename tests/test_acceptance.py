@@ -134,19 +134,19 @@ def test_criterion_4_s_table_triple_equality():
 def test_criterion_5_bijection_suite():
     with criterion(5, "deletion/insertion bijection", budget_s=30.0):
         for n in range(1, 9):
-            prev: dict[int, set[rlseq.RLSequence]] = {}
+            prev: dict[int, set[str]] = {}
             for seq in rlseq.enumerate_sequences(n - 1):
-                prev.setdefault(seq.component_count, set()).add(seq)
-            cur: dict[int, list[rlseq.RLSequence]] = {}
+                prev.setdefault(len(rlseq.components(seq)), set()).add(seq)
+            cur: dict[int, list[str]] = {}
             for seq in rlseq.enumerate_sequences(n):
-                cur.setdefault(seq.component_count, []).append(seq)
+                cur.setdefault(len(rlseq.components(seq)), []).append(seq)
             for k, members in cur.items():
                 images = [rlseq.delete_component_pair(s, 1) for s in members]
                 assert len(set(images)) == len(images)
                 target = {s for j, ss in prev.items() if j >= k - 1 for s in ss}
                 assert set(images) == target
             for alpha in rlseq.enumerate_sequences(n - 1):
-                j = alpha.component_count
+                j = len(rlseq.components(alpha))
                 for k in range(1, n + 1):
                     if j < k - 1:
                         continue

@@ -311,10 +311,21 @@ def test_verify_fixture_check_catches_a_wrong_k_return_multiplier(monkeypatch):
     assert result.detail == "k-return multiplier (n=4, k=2): computed 5, fixture 6"
 
 
-def test_usage_error_unknown_command():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 2
+def test_usage_error_unknown_command(capsys):
+    # the same text on every Python, though argparse quotes the choices
+    # or not, and reads "--" as the command or skips it, by version
+    choices = "'triangle', 'walks', 'poly', 'stable', 'verify'"
+    cases = (
+        (["frobnicate"], "frobnicate"),
+        (["-x", "frobnicate"], "frobnicate"),
+        (["--", "frobnicate"], "--"),
+    )
+    for argv, word in cases:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        message = f"argument command: invalid choice: {word!r} (choose from {choices})"
+        assert capsys.readouterr().err.endswith(f"treewalks: error: {message}\n")
 
 
 def test_the_command_tuple_is_the_parsers(capsys):
@@ -325,10 +336,23 @@ def test_the_command_tuple_is_the_parsers(capsys):
             cli.main([command, "--help"])
         assert exc.value.code == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["-h", "frobnicate"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: treewalks [-h]")
+    # argparse refuses "-hx" and "-h x" before 3.13 and prints the help
+    # from 3.13 on; main prints it on every Python
+    for argv in (["-h", "frobnicate"], ["-hx"], ["-h x"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: treewalks [-h]")
+
+
+def test_an_index_error_is_not_a_usage_error(monkeypatch):
+    # only ValueError is a usage error, exit 2; an IndexError is a bug
+    def broken(n):
+        raise IndexError("internal")
+
+    monkeypatch.setattr(cli, "walks_polynomial", broken)
+    with pytest.raises(IndexError, match="internal"):
+        cli.main(["poly", "--n", "3"])
 
 
 def test_determinism(capsys):

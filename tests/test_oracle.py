@@ -73,13 +73,13 @@ def test_return_profile_sums_to_total():
 
 def test_return_profile_via_enumeration():
     # independent route: weight each enumerated shape by its components
-    from treewalks.rlseq import enumerate_sequences
+    from treewalks.rlseq import components, enumerate_sequences
 
     for n in range(1, 9):
         for delta in (2, 3, 5):
             by_k = [0] * n
             for seq in enumerate_sequences(n):
-                k = seq.component_count
+                k = len(components(seq))
                 by_k[k - 1] += delta**k * (delta - 1) ** (n - k)
             assert dp_return_profile(n, delta) == by_k
 

@@ -13,7 +13,6 @@ from treewalks.rlseq import (
     AlphabetError,
     EnumerationCapError,
     IllegalSequenceError,
-    RLSequence,
     components,
     enumerate_sequences,
     is_balanced_legal,
@@ -37,14 +36,7 @@ def test_invalid_alphabet_raises():
     with pytest.raises(AlphabetError):
         is_balanced_legal("RXL")
     with pytest.raises(AlphabetError):
-        RLSequence("RLx ")
-
-
-def test_illegal_sequence_rejected_by_constructor():
-    with pytest.raises(IllegalSequenceError):
-        RLSequence("RLLR")
-    with pytest.raises(IllegalSequenceError):
-        RLSequence("R")
+        components("RLx ")
 
 
 @pytest.mark.parametrize(
@@ -54,7 +46,7 @@ def test_illegal_sequence_rejected_by_constructor():
 def test_first_fault_in_the_word_is_reported(word, error):
     # one left-to-right scan: a bad letter after an illegal prefix is not reached
     with pytest.raises(error):
-        RLSequence(word)
+        components(word)
     if error is IllegalSequenceError:
         assert not is_balanced_legal(word)
 
@@ -71,11 +63,6 @@ def test_balanced_legal_matches_reference(word):
     assert is_balanced_legal(word) == (balanced and legal)
 
 
-def test_string_round_trip():
-    for word in ["", "RL", "RRLLRL", "RRRLLL"]:
-        assert str(RLSequence(word)) == word
-
-
 @pytest.mark.parametrize(
     "word,expected",
     [
@@ -87,43 +74,45 @@ def test_string_round_trip():
 )
 def test_components(word, expected):
     parts = components(word)
-    assert [str(c) for c in parts] == expected
-    assert "".join(map(str, parts)) == word
+    assert type(parts) is tuple and all(type(c) is str for c in parts)
+    assert list(parts) == expected
+    assert "".join(parts) == word
 
 
 def test_components_rejects_illegal():
     with pytest.raises(IllegalSequenceError):
-        components("RLLR")
+        components("RLLR")  # prefix RLL illegal
+    with pytest.raises(IllegalSequenceError):
+        components("R")  # unbalanced
 
 
 def test_component_pieces_are_arch_shaped():
     for seq in enumerate_sequences(6):
         parts = components(seq)
-        assert "".join(map(str, parts)) == str(seq)
+        assert "".join(parts) == seq
         for piece in parts:
-            s = str(piece)
-            assert s[0] == "R" and s[-1] == "L"
+            assert piece[0] == "R" and piece[-1] == "L"
             # touches height 0 only at its own ends
             h = 0
-            for ch in s[:-1]:
+            for ch in piece[:-1]:
                 h += 1 if ch == "R" else -1
-                assert h > 0 or ch == s[0]
+                assert h > 0 or ch == piece[0]
 
 
 def test_enumeration_counts_and_order():
-    assert [str(s) for s in enumerate_sequences(2)] == ["RRLL", "RLRL"]
-    assert [str(s) for s in enumerate_sequences(0)] == [""]
+    assert enumerate_sequences(2) == ["RRLL", "RLRL"]
+    assert enumerate_sequences(0) == [""]
     for n in range(9):
-        seqs = enumerate_sequences(n)
-        assert len(seqs) == catalan_number(n)
-        assert len(set(seqs)) == len(seqs)
-        words = [str(s) for s in seqs]
+        words = enumerate_sequences(n)
+        assert type(words) is list and all(type(w) is str for w in words)
+        assert len(words) == catalan_number(n)
+        assert len(set(words)) == len(words)
         assert words == sorted(words, key=lambda w: [0 if c == "R" else 1 for c in w])
         assert all(is_balanced_legal(w) for w in words)
 
 
 def test_enumeration_component_multiset_n3():
-    counts = sorted(s.component_count for s in enumerate_sequences(3))
+    counts = sorted(len(components(s)) for s in enumerate_sequences(3))
     assert counts == [1, 1, 2, 2, 3]
 
 
@@ -193,7 +182,11 @@ def test_bit_scan_matches_stepwise_reference():
         for mask in range(1 << length):
             expected = _bitwise_ends(mask, length)
             assert rlseq._component_ends(mask, length) == expected, (length, mask)
-            legal += expected is not None
+            if expected is not None:
+                # the spelled word scans back to the mask; length 0 is ""
+                word = rlseq._word(mask, length)
+                assert len(word) == length and rlseq._scan(word) == mask, (length, mask)
+                legal += 1
             # a bit at or beyond the length is refused
             assert rlseq._component_ends(mask | 1 << length, length) is None
     assert legal == sum(catalan_number(n) for n in range(9))
