@@ -14,7 +14,9 @@ from treewalks.rlseq import (
     EnumerationCapError,
     IllegalSequenceError,
     components,
+    delete_component_pair,
     enumerate_sequences,
+    insert_component_pair,
     is_balanced_legal,
     s_closed_form,
     s_table_enumerated,
@@ -37,6 +39,17 @@ def test_invalid_alphabet_raises():
         is_balanced_legal("RXL")
     with pytest.raises(AlphabetError):
         components("RLx ")
+
+
+def test_illegal_sequence_rejected_by_constructor():
+    # every entry point that takes a word as a walk shape validates it first
+    for word in ["RLLR", "R"]:
+        with pytest.raises(IllegalSequenceError):
+            components(word)
+        with pytest.raises(IllegalSequenceError):
+            delete_component_pair(word, 1)
+        with pytest.raises(IllegalSequenceError):
+            insert_component_pair(word, 1, 1)
 
 
 @pytest.mark.parametrize(
