@@ -55,7 +55,8 @@ def dyck_paths(n: int) -> Iterator[tuple[int, list[int]]]:
     """Every Dyck path of semi-length n as (mask, ends), lexicographic with R first.
 
     ``ends`` holds the position just after each return to height 0, as
-    ``rlseq._component_ends`` gives it; its length is the component count.
+    ``rlseq._scan`` gives it for the path's word; its length is the
+    component count.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

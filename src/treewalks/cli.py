@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from treewalks import fixtures as fx
 from treewalks import rlseq, verify
@@ -37,19 +37,12 @@ def _invalid_choice(word: str, choices: Iterable[str]) -> str:
     return f"invalid choice: {word!r} (choose from {', '.join(map(repr, choices))})"
 
 
-def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
-    """An argparse ``type`` that refuses a word outside ``choices``.
+class _Parser(argparse.ArgumentParser):
+    """argparse with ``_invalid_choice``'s text on every Python, in its subparsers too."""
 
-    argparse runs it before its own choices check, whose text later 3.13
-    patches changed, so the error reads the same on every Python.
-    """
-
-    def check(word: str) -> str:
-        if word not in choices:
-            raise argparse.ArgumentTypeError(_invalid_choice(word, choices))
-        return word
-
-    return check
+    def _check_value(self, action: argparse.Action, value: str) -> None:
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
 
 
 def format_rows(rows: Iterable[tuple[int, ...]], fmt: str) -> Iterator[str]:
@@ -224,20 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing leaves the parser as it was, so ``main`` reuses it; a caller
     must not modify the returned parser.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treewalks",
         description="Exact closed-walk counts on infinite regular trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_choice(p: argparse.ArgumentParser, name: str, *choices: str, **kw) -> None:
-        p.add_argument(name, choices=choices, type=_one_of(choices), **kw)
-
     def add_format(p: argparse.ArgumentParser) -> None:
-        add_choice(p, "--format", "plain", "csv", "json", default="plain")
+        p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
     p = sub.add_parser("triangle", help="print Catalan's or Borel's triangle")
-    add_choice(p, "kind", "catalan", "borel")
+    p.add_argument("kind", choices=("catalan", "borel"))
     p.add_argument("--rows", type=int, required=True, help="largest row index N")
     add_format(p)
     p.add_argument("--check-fixture", action="store_true")
@@ -246,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walks", help="count closed walks of length 2n")
     p.add_argument("--n", type=int, required=True, help="half-length of the walk")
     p.add_argument("--delta", type=int, required=True, help="tree degree")
-    add_choice(p, "--method", *ROUTES, "all", default="catalan")
+    p.add_argument("--method", choices=(*ROUTES, "all"), default="catalan")
     add_format(p)
     p.add_argument(
         "--rational",
@@ -264,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stable", help="component-count table S(n, k)")
     p.add_argument("--n", type=int, required=True)
-    add_choice(p, "--method", "recurrence", "enumerated", "closed", default="recurrence")
+    p.add_argument(
+        "--method", choices=("recurrence", "enumerated", "closed"), default="recurrence"
+    )
     p.add_argument("--enum-cap", type=int, default=rlseq.ENUM_CAP_DEFAULT)
     add_format(p)
     p.set_defaults(func=_cmd_stable)
@@ -281,21 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    # the words before the command are read here, in fixed text, since
-    # argparse's reading of them changed within 3.10-3.13.  A help word,
-    # "-hx" and "-h x" included, prints the help; "--" and every word that
-    # argparse's own test reads as the command ("-", "-5" and "-a b"
-    # included) must be a command; any other option word is passed over,
-    # for argparse to refuse as unrecognized
-    for word in argv:
-        if word in COMMANDS:
-            break
-        if word.startswith("-h") or len(word) > 2 and "--help".startswith(word):
-            parser.print_help()
-            parser.exit()
-        if word == "--" or parser._parse_optional(word) is None:
-            parser.error("argument command: " + _invalid_choice(word, COMMANDS))
-    args = parser.parse_args(argv)
+    # argparse's reading of some words changed within 3.10-3.13, so they
+    # are fixed here.  Before the first "--", a word that starts with "-h"
+    # ("-hx" and "-h x" included) becomes "-h", so the parser that reads
+    # it prints its help.  A "--" before the command and any help word is
+    # refused as the command; argparse refuses any other unknown command,
+    # in ``_Parser``'s text
+    end = argv.index("--") if "--" in argv else len(argv)
+    head = ["-h" if word.startswith("-h") else word for word in argv[:end]]
+    if end < len(argv) and {*COMMANDS, "-h", "--h", "--he", "--hel", "--help"}.isdisjoint(head):
+        parser.error("argument command: " + _invalid_choice("--", COMMANDS))
+    args = parser.parse_args([*head, *argv[end:]])
     # an exact answer may run past Python's 4,300-digit int -> str limit;
     # lift it while the command runs (3.10.0-3.10.6 have no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

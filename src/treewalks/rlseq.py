@@ -25,10 +25,12 @@ S(m, 0) = 0 for m >= 1.  This is the layout
 
 A sequence is its word over {R, L}: the word functions here take and
 return plain ``str``.  Inside, a word is a (mask, length) pair in the bit
-layout of ``treewalks._kernel`` (R = set bit), and ``_word`` spells a mask
-back.  That module and this one read the bits, and so, for speed, does
-``verify.check_bijection``: it takes masks from ``_kernel.dyck_paths`` and
-passes them to ``_delete``, ``_insert`` and ``_component_ends``.
+layout of ``treewalks._kernel`` (R = set bit).  ``_scan`` reads a word's
+letters once, into its mask and component ends, and ``_word`` spells a
+mask back.  That module and this one read the bits, and so, for speed,
+does ``verify.check_bijection``: it takes masks and ends from
+``_kernel.dyck_paths``, in ``_scan``'s layout, and passes them to
+``_delete`` and ``_insert``.
 """
 
 from __future__ import annotations
@@ -70,22 +72,29 @@ def check_enumeration_cap(n: int, cap: int) -> None:
         )
 
 
-def _scan(word: str) -> int:
-    """Bitmask of a balanced legal word; raises at the first fault the scan meets."""
+def _scan(word: str) -> tuple[int, list[int]]:
+    """Bitmask and component ends of a balanced legal word, in one pass.
+
+    ``ends`` holds the position just after each return to height 0, so
+    component c ends at ends[c-1].  Raises at the first fault the scan meets.
+    """
     mask = height = 0
+    ends: list[int] = []
     for pos, ch in enumerate(word):
         if ch == "R":
             mask |= 1 << pos
             height += 1
         elif ch == "L":
             height -= 1
-            if height < 0:
+            if not height:
+                ends.append(pos + 1)
+            elif height < 0:
                 break
         else:
             raise AlphabetError(f"invalid character {ch!r} at position {pos}")
     if height:
         raise IllegalSequenceError(f"not a balanced legal RL-sequence: {word!r}")
-    return mask
+    return mask, ends
 
 
 def is_balanced_legal(word: str) -> bool:
@@ -97,39 +106,14 @@ def is_balanced_legal(word: str) -> bool:
     return True
 
 
-def _component_ends(mask: int, length: int) -> list[int] | None:
-    """Position just after each return to height 0: component c ends at ends[c-1].
-
-    None if the mask goes below the root, does not end on it, or has bits
-    at or beyond ``length``.
-    """
-    if mask >> length:
-        return None
-    ends: list[int] = []
-    height = 0
-    for pos in range(length):
-        height += 1 if mask >> pos & 1 else -1
-        if height < 0:
-            return None
-        if not height:
-            ends.append(pos + 1)
-    return None if height else ends
-
-
 def _word(mask: int, length: int) -> str:
     """The word of a mask's first ``length`` steps; length 0 gives ""."""
     return "".join("R" if mask >> p & 1 else "L" for p in range(length))
 
 
-def _with_ends(word: str) -> tuple[int, list[int]]:
-    """A balanced legal word's mask and component ends; raises on any other word."""
-    mask = _scan(word)
-    return mask, _component_ends(mask, len(word))
-
-
 def components(word: str) -> tuple[str, ...]:
     """Split a balanced legal word at its returns to height 0, in order."""
-    _, ends = _with_ends(word)
+    _, ends = _scan(word)
     return tuple(word[start:end] for start, end in zip([0, *ends], ends))
 
 
@@ -203,7 +187,7 @@ def delete_component_pair(word: str, i: int) -> str:
     The bijection's deletion map: the i-th component R w L becomes w,
     which may itself be empty or split into several components.
     """
-    mask, ends = _with_ends(word)
+    mask, ends = _scan(word)
     if not 1 <= i <= len(ends):
         raise ComponentIndexError(
             f"component index {i} out of range 1..{len(ends)}"
@@ -226,7 +210,7 @@ def insert_component_pair(alpha: str, i: int, k: int) -> str:
     alpha has j components; the result has exactly k components and the
     wrapped block sits at position i.  Requires 1 <= i <= k <= j + 1.
     """
-    mask, ends = _with_ends(alpha)
+    mask, ends = _scan(alpha)
     j = len(ends)
     if not (1 <= i <= k and j >= k - 1):
         raise ComponentIndexError(

@@ -152,8 +152,12 @@ def check_bijection(max_n: int) -> CheckResult:
                     return CheckResult(name, False, f"f_{i} image mismatch on (n={n}, k={k})")
                 back = rlseq._insert(alpha, alpha_ends, i, k)
                 if back != omega:
-                    back_ends = rlseq._component_ends(back, 2 * n)
-                    ok = back_ends is not None and len(back_ends) == k
+                    spelled = rlseq._word(back, 2 * n)
+                    ok = (
+                        not back >> 2 * n
+                        and rlseq.is_balanced_legal(spelled)
+                        and len(rlseq.components(spelled)) == k
+                    )
                     fault = "round trip" if ok else "insert postcondition"
                     word = rlseq._word(alpha, 2 * n - 2)
                     return CheckResult(name, False, f"{fault} fails at {word}, i={i}, k={k}")

@@ -210,7 +210,7 @@ def test_verify_bijection_check_catches_a_missing_path(monkeypatch):
 def test_verify_bijection_check_counts_every_pair(max_n, pairs):
     # sum over n of the components of every path of length 2n
     expected = sum(
-        len(rlseq._component_ends(mask, 2 * n))
+        len(components(rlseq._word(mask, 2 * n)))
         for n in range(1, max_n + 1)
         for mask, _ in _kernel.dyck_paths(n)
     )

@@ -329,20 +329,18 @@ def test_usage_error_unknown_command(capsys):
 
 
 def test_the_command_tuple_is_the_parsers(capsys):
-    # an unknown command is refused before argparse, from ``cli.COMMANDS``
+    # main refuses a "--" before the command, and reads help words, from
+    # ``cli.COMMANDS``; argparse refuses any other unknown command
     assert "{" + ",".join(cli.COMMANDS) + "}" in cli.build_parser().format_usage()
-    for command in cli.COMMANDS:
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--help"])
-        assert exc.value.code == 0
-    capsys.readouterr()
     # argparse refuses "-hx" and "-h x" before 3.13 and prints the help
-    # from 3.13 on; main prints it on every Python
-    for argv in (["-h", "frobnicate"], ["-hx"], ["-h x"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: treewalks [-h]")
+    # from 3.13 on; main makes it print the help on every Python
+    for command in ("", *cli.COMMANDS):
+        for words in (["--help"], ["-hx"], ["-h x"], ["-h", "frobnicate"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, *words] if command else words)
+            assert exc.value.code == 0
+            usage = f"usage: treewalks {command} [-h]" if command else "usage: treewalks [-h]"
+            assert capsys.readouterr().out.startswith(usage)
 
 
 def test_an_index_error_is_not_a_usage_error(monkeypatch):

@@ -80,9 +80,10 @@ def _check_value_listing_with_str(self, action, value):
 
 
 def test_the_manifest_holds_under_the_later_313_choices_wording(monkeypatch):
-    # The corpus's fourteen invalid-choice argv (an unknown command, such
-    # as "-5", "-a b" or "-x frobnicate", kind, --method and --format) are
-    # the entries this wording would change.
+    # The corpus's invalid-choice argv (an unknown command, such as "-5",
+    # "-a b" or "-x frobnicate", kind, --method and --format) are the
+    # entries this wording would change, so the manifest holds only while
+    # every parser, each subparser included, is a ``cli._Parser``.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr(argparse.ArgumentParser, "_check_value", _check_value_listing_with_str)
     changed = mismatches()

@@ -157,7 +157,7 @@ def test_kernel_order_is_pinned():
 def test_kernel_ends_match_component_scan():
     for n in range(13):
         for mask, ends in _kernel.dyck_paths(n):
-            assert ends == rlseq._component_ends(mask, 2 * n), (n, mask)
+            assert ends == rlseq._scan(rlseq._word(mask, 2 * n))[1], (n, mask)
 
 
 def test_histogram_matches_per_path_count():
@@ -189,19 +189,25 @@ def _bitwise_ends(mask, length):
     return None if height else ends
 
 
+def _scan_matches_reference(mask, length):
+    """The word scan of a spelled mask agrees with the reference; True if legal."""
+    word = rlseq._word(mask, length)
+    expected = _bitwise_ends(mask, length)
+    if expected is None:
+        with pytest.raises(IllegalSequenceError):
+            rlseq._scan(word)
+        return False
+    # the spelled word scans back to the mask; length 0 is ""
+    assert len(word) == length and rlseq._scan(word) == (mask, expected), (length, mask)
+    return True
+
+
 def test_bit_scan_matches_stepwise_reference():
-    legal = 0
-    for length in range(0, 17, 2):
-        for mask in range(1 << length):
-            expected = _bitwise_ends(mask, length)
-            assert rlseq._component_ends(mask, length) == expected, (length, mask)
-            if expected is not None:
-                # the spelled word scans back to the mask; length 0 is ""
-                word = rlseq._word(mask, length)
-                assert len(word) == length and rlseq._scan(word) == mask, (length, mask)
-                legal += 1
-            # a bit at or beyond the length is refused
-            assert rlseq._component_ends(mask | 1 << length, length) is None
+    legal = sum(
+        _scan_matches_reference(mask, length)
+        for length in range(0, 17, 2)
+        for mask in range(1 << length)
+    )
     assert legal == sum(catalan_number(n) for n in range(9))
 
 
@@ -212,9 +218,9 @@ def test_bit_scan_at_heights_above_eight():
     for n in range(13, 21):
         for a in range(9, n + 1):
             for j in range(n - a + 1):
-                mask = rlseq._scan("RL" * j + "R" * a + "L" * a + "RL" * (n - a - j))
+                mask, _ = rlseq._scan("RL" * j + "R" * a + "L" * a + "RL" * (n - a - j))
                 for m in (mask, mask ^ 1 << (2 * n - 1), mask ^ 1 << (2 * (j + a) - 1)):
-                    assert rlseq._component_ends(m, 2 * n) == _bitwise_ends(m, 2 * n), (n, m)
+                    _scan_matches_reference(m, 2 * n)
 
 
 def test_negative_n_rejected():
