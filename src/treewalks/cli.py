@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: triangle, walks, poly, stable, verify.  Exit codes are
-fixed: 0 success, 1 verification or fixture failure, 2 usage/domain
-error, 141 the reader closed stdout.  All output is deterministic; JSON
-integers are decimal strings.
+fixed: 0 success, 1 a failed ``verify`` check or a ``walks --method all``
+disagreement, 2 usage/domain error, 141 the reader closed stdout.  All
+output is deterministic; JSON integers are decimal strings.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 
-from treewalks import fixtures as fx
 from treewalks import rlseq, verify
-from treewalks.series import gf_walk_counts, sqrt_coefficients
 from treewalks.triangles import borel_rows, catalan_rows, checked_rows
 from treewalks.walks import ROUTES, walks_polynomial
 
@@ -88,29 +86,11 @@ def _render(coefficients: tuple[int, ...], ascii_only: bool) -> str:
     return "".join(terms)
 
 
-def _fixture_mismatch() -> bool:
-    """Run ``verify``'s golden-fixture check; report and return True if it fails."""
-    result = verify.check_fixtures()
-    if not result.passed:
-        print(f"fixture mismatch: {result.detail}", file=sys.stderr)
-    return not result.passed
-
-
 def _cmd_triangle(args: argparse.Namespace) -> int:
     if args.rows < 0:
         raise ValueError(f"--rows must be >= 0, got {args.rows}")
     rows = catalan_rows if args.kind == "catalan" else borel_rows
     sys.stdout.writelines(format_rows(checked_rows(rows(args.rows), args.kind), args.format))
-    if args.check_fixture:
-        if _fixture_mismatch():
-            return EXIT_VERIFY
-        last = len(fx.TRIANGLES[args.kind]) - 1
-        if args.rows > last:
-            print(
-                f"fixture check: {args.kind} rows 0..{last} of 0..{args.rows} "
-                f"checked; the fixture ends at row {last}",
-                file=sys.stderr,
-            )
     return EXIT_OK
 
 
@@ -118,8 +98,6 @@ def _cmd_walks(args: argparse.Namespace) -> int:
     n, delta = args.n, args.delta
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if args.rational and args.method not in ("gf", "all"):
-        raise ValueError("--rational needs --method gf or all")
     methods = list(ROUTES) if args.method == "all" else [args.method]
     if "gf" in methods and delta < 2:
         if args.method != "all":
@@ -129,12 +107,6 @@ def _cmd_walks(args: argparse.Namespace) -> int:
         methods.remove("gf")
         print("gf skipped (requires delta >= 2)", file=sys.stderr)
     values = {m: ROUTES[m](n, delta) for m in methods}
-    if args.rational and "gf" in methods:
-        # debugging view of the exact intermediate series, even degrees only
-        series = (("sqrt", sqrt_coefficients(delta, n)), ("f", gf_walk_counts(delta, n)))
-        for label, terms in series:
-            pretty = ", ".join(map(str, terms))
-            print(f"# {label} even coefficients: {pretty}", file=sys.stderr)
     if args.format == "json":
         print(json.dumps({m: str(v) for m, v in values.items()}))
     elif args.format == "csv":
@@ -158,17 +130,6 @@ def _cmd_poly(args: argparse.Namespace) -> int:
         print(",".join(map(str, coefficients)))
     else:
         print(_render(coefficients, args.ascii))
-    if args.check_fixture:
-        fixture = fx.WALK_POLYNOMIALS
-        if args.n not in fixture:
-            print(
-                f"fixture check: polynomial n={args.n} is outside the fixture's "
-                f"n = {min(fixture)}..{max(fixture)}; nothing compared",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFY
-        if _fixture_mismatch():
-            return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -230,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("catalan", "borel"))
     p.add_argument("--rows", type=int, required=True, help="largest row index N")
     add_format(p)
-    p.add_argument("--check-fixture", action="store_true")
     p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("walks", help="count closed walks of length 2n")
@@ -238,18 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, required=True, help="tree degree")
     p.add_argument("--method", choices=(*ROUTES, "all"), default="catalan")
     add_format(p)
-    p.add_argument(
-        "--rational",
-        action="store_true",
-        help="with gf: dump intermediate exact series to stderr",
-    )
     p.set_defaults(func=_cmd_walks)
 
     p = sub.add_parser("poly", help="walk-count polynomial in the tree degree")
     p.add_argument("--n", type=int, required=True)
     add_format(p)
     p.add_argument("--ascii", action="store_true", help="render with 'd' and '^'")
-    p.add_argument("--check-fixture", action="store_true")
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("stable", help="component-count table S(n, k)")

@@ -39,7 +39,7 @@ from collections.abc import Iterator
 from itertools import accumulate
 
 from treewalks import _kernel
-from treewalks.triangles import catalan_entry, checked_rows
+from treewalks.triangles import TriangleIndexError, catalan_entry, checked_rows
 
 #: Default semi-length cap of ``enumerate_sequences``, ``s_table_enumerated``
 #: and ``stable --enum-cap``.  Its ~2.7M whole paths bound only
@@ -169,7 +169,7 @@ def s_table_recurrence(n: int) -> tuple[tuple[int, ...], ...]:
 def s_closed_form(n: int, k: int) -> int:
     """S(n, k) = C(n-1, n-k), the Catalan-triangle closed form."""
     if not 1 <= k <= n:
-        raise IndexError(f"need 1 <= k <= n, got (n={n}, k={k})")
+        raise TriangleIndexError(f"need 1 <= k <= n, got (n={n}, k={k})")
     return catalan_entry(n - 1, n - k)
 
 

@@ -1,4 +1,4 @@
-"""CLI surface: formats, fixtures, determinism, exit codes."""
+"""CLI surface: formats, the verify suite's fixture check, determinism, exit codes."""
 
 from __future__ import annotations
 
@@ -40,18 +40,6 @@ def test_triangle_borel_row7(capsys):
     code, out, _ = run(capsys, "triangle", "borel", "--rows", "7", "--format", "csv")
     assert code == 0
     assert out.splitlines()[7] == "1430,8008,19656,27300,23100,11880,3432,429"
-
-
-def test_triangle_fixture_check_passes(capsys):
-    for kind in ("catalan", "borel"):
-        code, _, err = run(capsys, "triangle", kind, "--rows", "7", "--check-fixture")
-        assert code == 0 and err == ""
-        # rows past the fixture are printed, and the check says where it stopped
-        code, out, err = run(capsys, "triangle", kind, "--rows", "9", "--check-fixture")
-        assert code == 0 and len(out.splitlines()) == 10
-        assert err == (
-            f"fixture check: {kind} rows 0..7 of 0..9 checked; the fixture ends at row 7\n"
-        )
 
 
 def test_triangle_json_round_trips(capsys):
@@ -112,26 +100,6 @@ def test_walks_all_below_delta_1_is_a_domain_error(capsys, delta):
     assert err == "error: the gf method requires delta >= 2\n"
 
 
-def test_walks_rational_without_gf_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "walks", "--n", "5", "--delta", "3", "--rational")
-    assert code == 2 and out == ""
-    assert err == "error: --rational needs --method gf or all\n"
-    # all without gf already says on stderr that gf did not run
-    code, out, err = run(
-        capsys, "walks", "--n", "4", "--delta", "1", "--method", "all", "--rational"
-    )
-    assert code == 0 and len(out.splitlines()) == 4
-    assert err == "gf skipped (requires delta >= 2)\n"
-
-
-def test_walks_rational_dump(capsys):
-    code, _, err = run(
-        capsys, "walks", "--n", "2", "--delta", "3", "--method", "gf", "--rational"
-    )
-    assert code == 0
-    assert err == "# sqrt even coefficients: 1, -4, -8\n# f even coefficients: 1, 3, 15\n"
-
-
 def test_walks_usage_error_exit_2(capsys):
     code, _, err = run(capsys, "walks", "--n", "0", "--delta", "3")
     assert code == 2 and "error" in err
@@ -148,20 +116,6 @@ def test_poly_plain_and_ascii(capsys):
 def test_poly_n1(capsys):
     code, out, _ = run(capsys, "poly", "--n", "1")
     assert code == 0 and out.strip() == "δ"
-
-
-def test_poly_fixture_check(capsys):
-    for n in range(1, 7):
-        code, _, err = run(capsys, "poly", "--n", str(n), "--check-fixture")
-        assert code == 0 and err == ""
-    # a polynomial the fixture does not hold was compared with nothing
-    for n in (7, 9):
-        code, out, err = run(capsys, "poly", "--n", str(n), "--check-fixture")
-        assert code == 1 and out != ""
-        assert err == (
-            f"fixture check: polynomial n={n} is outside the fixture's n = 1..6; "
-            "nothing compared\n"
-        )
 
 
 def test_poly_json(capsys):
@@ -275,33 +229,41 @@ def test_verify_says_when_gf_did_not_run(capsys):
     )
 
 
-@pytest.fixture()
-def corrupt_borel_fixture(monkeypatch):
-    rows = [list(row) for row in fx.TRIANGLES["borel"]]
-    rows[3][1] = 29  # B(3, 1) is 28
-    monkeypatch.setitem(fx.TRIANGLES, "borel", rows)
+def _corrupt_triangle(monkeypatch, kind, n, k, value):
+    rows = [list(row) for row in fx.TRIANGLES[kind]]
+    rows[n][k] = value
+    monkeypatch.setitem(fx.TRIANGLES, kind, rows)
 
 
-def test_verify_corrupted_fixture_fails_with_location(capsys, corrupt_borel_fixture):
+def _verify_fail_lines(capsys):
+    """The FAIL lines of a small ``verify``, which must exit 1."""
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--max-delta", "2", "--enum-cap", "4")
     assert code == 1
-    (fail_line,) = [l for l in out.splitlines() if "FAIL" in l]
-    assert "golden fixtures" in fail_line
-    assert "n=3" in fail_line and "29" in fail_line
+    return [line for line in out.splitlines() if "FAIL" in line]
 
 
-def test_triangle_corrupted_fixture_exit_1(capsys, corrupt_borel_fixture):
-    code, _, err = run(capsys, "triangle", "borel", "--rows", "7", "--check-fixture")
-    assert code == 1 and "mismatch" in err
+_FIXTURES_FAIL = "golden fixtures                    FAIL  "
+
+
+def test_verify_corrupted_fixture_fails_with_location(capsys, monkeypatch):
+    _corrupt_triangle(monkeypatch, "borel", 3, 1, 29)  # B(3, 1) is 28
+    assert _verify_fail_lines(capsys) == [
+        _FIXTURES_FAIL + "(borel triangle (n=3, k=1): computed 28, fixture 29)"
+    ]
+
+
+def test_triangle_corrupted_fixture_exit_1(capsys, monkeypatch):
+    _corrupt_triangle(monkeypatch, "catalan", 5, 2, 15)  # C(5, 2) is 14
+    assert _verify_fail_lines(capsys) == [
+        _FIXTURES_FAIL + "(catalan triangle (n=5, k=2): computed 14, fixture 15)"
+    ]
 
 
 def test_poly_corrupted_fixture_names_both_lists(capsys, monkeypatch):
     monkeypatch.setitem(fx.WALK_POLYNOMIALS, 4, [14, -28, 21, -5])  # 20 is right
-    lists = "computed [14, -28, 20, -5], fixture [14, -28, 21, -5]"
-    code, _, err = run(capsys, "poly", "--n", "4", "--check-fixture")
-    assert code == 1
-    assert err == f"fixture mismatch: polynomial n=4: {lists}\n"
-    assert verify.check_fixtures().detail == f"polynomial n=4: {lists}"
+    assert _verify_fail_lines(capsys) == [
+        _FIXTURES_FAIL + "(polynomial n=4: computed [14, -28, 20, -5], fixture [14, -28, 21, -5])"
+    ]
 
 
 def test_verify_fixture_check_catches_a_wrong_k_return_multiplier(monkeypatch):
@@ -482,12 +444,12 @@ def test_tables_stream_in_bounded_memory(argv):
 # every subcommand, an argparse error, and a default that follows an override
 _MIXED_ARGV = [
     ["triangle", "catalan", "--rows", "5", "--format", "csv"],
-    ["triangle", "borel", "--rows", "4", "--format", "json", "--check-fixture"],
+    ["triangle", "borel", "--rows", "4", "--format", "json"],
     ["walks", "--n", "6", "--delta", "3", "--method", "all"],
-    ["walks", "--n", "3", "--delta", "4", "--method", "gf", "--rational"],
+    ["walks", "--n", "3", "--delta", "4", "--method", "gf"],
     ["walks", "--n", "0", "--delta", "3"],
     ["poly", "--n", "5", "--ascii"],
-    ["poly", "--n", "7", "--check-fixture"],
+    ["poly", "--n", "7"],
     ["stable", "--n", "6", "--method", "enumerated", "--enum-cap", "5"],
     ["stable", "--n", "6", "--method", "enumerated"],
     ["stable", "--n", "4", "--method", "closed", "--format", "json"],

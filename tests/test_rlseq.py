@@ -23,7 +23,7 @@ from treewalks.rlseq import (
     s_table_recurrence,
 )
 from treewalks.cli import format_rows
-from treewalks.triangles import catalan_number
+from treewalks.triangles import TriangleIndexError, catalan_number
 
 
 def test_is_balanced_legal_basics():
@@ -252,9 +252,10 @@ def test_s_closed_form_values():
     assert s_closed_form(4, 2) == 5
     for n in range(1, 10):
         assert s_closed_form(n, n) == 1
-    with pytest.raises(IndexError):
+    # a ValueError, so the CLI reports it as a domain error
+    with pytest.raises(TriangleIndexError, match=r"need 1 <= k <= n, got \(n=3, k=0\)"):
         s_closed_form(3, 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(TriangleIndexError, match=r"need 1 <= k <= n, got \(n=3, k=4\)"):
         s_closed_form(3, 4)
 
 
