@@ -9,8 +9,9 @@ number of returns to the root.
 S(n, k) = number of balanced legal sequences of length 2n with exactly
 k components.  Three routes to it live here:
 
-  * enumeration (``s_table_enumerated``): every half-path is enumerated,
-    and the whole paths are counted as products of head and tail counts,
+  * enumeration (``s_table_enumerated``): one run over the half-paths
+    lists every prefix once, and each row counts its whole paths as
+    products of head counts, a tail being a head read backwards,
   * the deletion-bijection recurrence S(n, k) = sum_{j>=k-1} S(n-1, j)
     (``s_table_recurrence``),
   * the Catalan-triangle closed form S(n, k) = C(n-1, n-k)
@@ -20,8 +21,8 @@ plus the deletion/insertion pair realizing the bijection itself.
 
 An S-table is a tuple of rows, row m being S(m, 0..m): (1,), (0, 1),
 (0, 1, 1), (0, 2, 2, 1), ...  Row 0 is the empty sequence, and
-S(m, 0) = 0 for m >= 1.  This is the layout
-``_kernel.component_histogram(m)`` returns.
+S(m, 0) = 0 for m >= 1.  This is the layout, row for row, of
+``_kernel.component_histograms(n)``.
 
 A sequence is its word over {R, L}: the word functions here take and
 return plain ``str``.  Inside, a word is a (mask, length) pair in the bit
@@ -43,7 +44,8 @@ from treewalks.triangles import TriangleIndexError, catalan_entry, checked_rows
 
 #: Default semi-length cap of ``enumerate_sequences``, ``s_table_enumerated``
 #: and ``stable --enum-cap``.  Its ~2.7M whole paths bound only
-#: ``enumerate_sequences``; the S-table enumerates half-paths alone.  The
+#: ``enumerate_sequences``; the S-table lists each prefix of length <= n
+#: once (7,060 at n = 14) and enumerates no whole path or tail.  The
 #: bijection check has its own bound, ``verify --enum-cap`` (default 8).
 ENUM_CAP_DEFAULT = 14
 
@@ -132,14 +134,15 @@ def enumerate_sequences(n: int, cap: int = ENUM_CAP_DEFAULT) -> list[str]:
 def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> tuple[tuple[int, ...], ...]:
     """S-table up to length 2n, counted from enumerated half-paths.
 
-    Row m is ``_kernel.component_histogram(m)``: every head (first m
-    letters) and every tail (last m letters) is enumerated, the whole
-    sequences are not.
+    The rows are ``_kernel.component_histograms(n)``: one run enumerates
+    every prefix of length <= n once, the heads of every row at once, and
+    each tail is counted as a head read backwards.  No whole sequence and
+    no tail is enumerated.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_enumeration_cap(n, cap)
-    rows = (tuple(_kernel.component_histogram(m)) for m in range(n + 1))
+    rows = map(tuple, _kernel.component_histograms(n))
     return tuple(checked_rows(rows, "s"))
 
 

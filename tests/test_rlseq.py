@@ -138,8 +138,8 @@ def test_enumeration_cap():
 
 
 def test_histogram_totals_are_catalan():
-    for n in range(12):
-        assert sum(_kernel.component_histogram(n)) == catalan_number(n)
+    rows = _kernel.component_histograms(11)
+    assert [sum(row) for row in rows] == [catalan_number(n) for n in range(12)]
 
 
 # sha256 over ",".join(masks of n) + "\n" for n = 0..12, in kernel order
@@ -161,20 +161,26 @@ def test_kernel_ends_match_component_scan():
 
 
 def test_histogram_matches_per_path_count():
-    for n in range(13):
+    rows = _kernel.component_histograms(12)
+    assert len(rows) == 13
+    for n, hist in enumerate(rows):
         counted = [0] * (n + 1)
         for _, ends in _kernel.dyck_paths(n):
             counted[len(ends)] += 1
-        hist = _kernel.component_histogram(n)
         assert hist == counted, n
         if n:
             assert hist[1:] == [s_closed_form(n, k) for k in range(1, n + 1)]
 
 
+@pytest.fixture(scope="module")
+def rows_to_default_cap():
+    return _kernel.component_histograms(14)
+
+
 @pytest.mark.parametrize("n", [13, 14])
-def test_histogram_matches_closed_form_up_to_default_cap(n):
+def test_histogram_matches_closed_form_up_to_default_cap(rows_to_default_cap, n):
     expected = [0, *(s_closed_form(n, k) for k in range(1, n + 1))]
-    assert _kernel.component_histogram(n) == expected
+    assert rows_to_default_cap[n] == expected
 
 
 def _bitwise_ends(mask, length):
@@ -229,7 +235,7 @@ def test_negative_n_rejected():
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         enumerate_sequences(-1)
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
-        _kernel.component_histogram(-1)
+        _kernel.component_histograms(-1)
 
 
 def test_s_table_enumerated_small_values():

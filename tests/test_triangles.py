@@ -91,7 +91,7 @@ def test_tables_are_tuples_of_row_tuples():
          lambda: borel_table(1), "row 1 has 1 entries, expected 2"),
         (rlseq, "_s_rows", lambda n: iter([(1,), (1, 1)]),
          lambda: s_table_recurrence(1), r"row 1 has S\(1, 0\) = 1, expected 0"),
-        (_kernel, "component_histogram", lambda m: [1] * (m + 1),
+        (_kernel, "component_histograms", lambda n: [[1] * (m + 1) for m in range(n + 1)],
          lambda: s_table_enumerated(1), r"row 1 has S\(1, 0\) = 1, expected 0"),
     ],
     ids=["catalan_table", "borel_table", "s_table_recurrence", "s_table_enumerated"],
