@@ -95,18 +95,8 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 
 def _cmd_walks(args: argparse.Namespace) -> int:
-    n, delta = args.n, args.delta
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    methods = list(ROUTES) if args.method == "all" else [args.method]
-    if "gf" in methods and delta < 2:
-        if args.method != "all":
-            raise ValueError("the gf method requires delta >= 2")
-        if delta < 1:
-            raise ValueError(f"delta must be >= 1, got {delta}")
-        methods.remove("gf")
-        print("gf skipped (requires delta >= 2)", file=sys.stderr)
-    values = {m: ROUTES[m](n, delta) for m in methods}
+    methods = ROUTES if args.method == "all" else [args.method]
+    values = {m: ROUTES[m](args.n, args.delta) for m in methods}
     if args.format == "json":
         print(json.dumps({m: str(v) for m, v in values.items()}))
     elif args.format == "csv":

@@ -18,8 +18,14 @@ is exact integer equality with the combinatorial formulas; every division
 is checked.  f also satisfies (1 - delta^2 u) f^2 + (delta - 2) f -
 (delta - 1) = 0, which ``verify`` checks on the computed coefficients.
 
-delta = 2 is fine (f = 1 / sqrt(1 - 4u), the central binomials);
-delta = 1 is rejected because the Kesten-McKay form degenerates to 0/0.
+The recurrence is polynomial in delta, since [u^n] s = -2 Catalan(n-1)
+(delta - 1)^n, and so is W(2n, delta), whose coefficients are Borel's
+triangle.  The two agree at every delta >= 2, infinitely many points, so
+they are one polynomial and agree at delta = 1 too.  There 4(delta - 1)
+= 0 makes s = 1, so every [u^n] s with n >= 1 vanishes and every count
+is 1.  The 0/0 at delta = 1 belongs to the un-rationalised form above,
+which is never evaluated.  delta = 2 gives f = 1 / sqrt(1 - 4u), the
+central binomials.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ def sqrt_coefficients(delta: int, N: int) -> list[int]:
 
 def gf_walk_counts(delta: int, N: int) -> list[int]:
     """[t^(2n)] of the generating function for n = 0..N, as exact integers."""
-    if delta < 2:
-        raise ValueError(f"delta must be >= 2 (formula degenerates below), got {delta}")
+    if delta < 1:
+        raise ValueError(f"delta must be >= 1, got {delta}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     s = sqrt_coefficients(delta, N)

@@ -39,26 +39,26 @@ class CheckResult(namedtuple("CheckResult", "name passed detail cases", defaults
     __slots__ = ()
 
 
-def _passed(name: str, cases: int, detail: str = "") -> CheckResult:
+def _passed(name: str, cases: int) -> CheckResult:
     """The result of a check that found no mismatch in ``cases`` cases."""
     if cases < 1:
         return CheckResult(name, False, "checked nothing")
-    return CheckResult(name, True, detail, cases)
+    return CheckResult(name, True, "", cases)
 
 
 def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
-    """components = catalan = borel = DP oracle = gf (delta >= 2), exactly.
+    """components = catalan = borel = DP oracle = gf, exactly.
 
     The gf coefficients must also satisfy the generating function's
     quadratic (1 - delta^2 u) f^2 + (delta - 2) f - (delta - 1) = 0,
-    u = t^2, in every degree up to max_n, so gf is one whole series here,
-    not its ``walks.ROUTES`` entry.  Below delta = 2 gf does not run.
+    u = t^2, in every degree up to max_n, so gf is one whole series per
+    delta here, not its ``walks.ROUTES`` entry.
     """
     name = "five-method agreement"
     routes = {m: route for m, route in ROUTES.items() if m != "gf"}
     for delta in range(1, max_delta + 1):
-        gf = gf_walk_counts(delta, max_n) if delta >= 2 else None
-        bad = _gf_quadratic_fault(gf, delta) if gf is not None else None
+        gf = gf_walk_counts(delta, max_n)
+        bad = _gf_quadratic_fault(gf, delta)
         if bad is not None:
             d, residual = bad
             return CheckResult(
@@ -68,21 +68,21 @@ def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
             )
         for n in range(1, max_n + 1):
             values = {m: route(n, delta) for m, route in routes.items()}
-            if gf is not None:
-                values["gf"] = gf[n]
+            values["gf"] = gf[n]
             if len(set(values.values())) != 1:
                 return CheckResult(
                     name, False, f"disagreement at (n={n}, delta={delta}): {values}"
                 )
-    gf_note = "" if max_delta >= 2 else "gf not run: needs delta >= 2"
-    return _passed(name, max_n * max_delta, gf_note)
+    return _passed(name, max_n * max_delta)
 
 
 def _gf_quadratic_fault(f: list[int], delta: int) -> tuple[int, int] | None:
     """First (degree, residual) where f breaks the quadratic, or None.
 
     The quadratic has one power-series root with f(0) = 1, so its
-    coefficients up to degree N pin f down to degree N.
+    coefficients up to degree N pin f down to degree N: at degree d >= 1,
+    f_d appears only with coefficient 2 f_0 + delta - 2 = delta, which is
+    not 0 for any delta >= 1, so f_d is fixed by the lower degrees.
     """
     square = [sum(f[i] * f[d - i] for i in range(d + 1)) for d in range(len(f))]
     for d in range(len(f)):

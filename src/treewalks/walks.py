@@ -13,9 +13,10 @@ W(2n, delta) is computed by three mutually independent closed forms:
 All three must agree exactly with each other and with the DP and
 generating-function oracles; ``ROUTES`` holds the five side by side.
 
-delta = 1 is admitted as a formal specialization (W = 1, the single
-there-and-back walk) even though an infinite 1-regular tree does not
-exist.
+delta = 1 is admitted by all five routes, gf included, as a formal
+specialization: W = 1 for every n, the one walk that steps to the lone
+neighbour and back n times, even though an infinite 1-regular tree does
+not exist.
 """
 
 from __future__ import annotations

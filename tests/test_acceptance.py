@@ -114,14 +114,13 @@ def test_criterion_2_polynomial_reproduction():
 def test_criterion_3_five_method_agreement():
     with criterion(3, "five-method agreement", budget_s=60.0):
         for delta in range(1, 10):
-            gf = gf_walk_counts(delta, 20) if delta >= 2 else None
+            gf = gf_walk_counts(delta, 20)
             for n in range(1, 21):
                 w = walks_via_components(n, delta)
                 assert w == walks_via_catalan(n, delta)
                 assert w == walks_via_borel(n, delta)
                 assert w == dp_walk_count(n, delta)
-                if gf is not None:
-                    assert w == gf[n]
+                assert w == gf[n]
 
 
 def test_criterion_4_s_table_triple_equality():

@@ -76,18 +76,22 @@ def test_walks_json(capsys):
     assert json.loads(out) == {m: "87" for m in ["components", "catalan", "borel", "gf", "oracle"]}
 
 
-def test_walks_gf_requires_delta_2(capsys):
-    code, _, err = run(capsys, "walks", "--n", "3", "--delta", "1", "--method", "gf")
-    assert code == 2 and "delta" in err
+def test_walks_gf_at_delta_1_prints_1(capsys):
+    assert run(capsys, "walks", "--n", "3", "--delta", "1", "--method", "gf") == (0, "1\n", "")
 
 
-def test_walks_all_delta1_skips_gf(capsys):
+def test_walks_all_delta1_prints_five_ones(capsys):
     code, out, err = run(capsys, "walks", "--n", "4", "--delta", "1", "--method", "all")
     assert code == 0
     assert [line.split() for line in out.splitlines()] == [
-        [m, "1"] for m in ("components", "catalan", "borel", "oracle")
+        [m, "1"] for m in ("components", "catalan", "borel", "gf", "oracle")
     ]
-    assert err == "gf skipped (requires delta >= 2)\n"
+    assert err == ""
+    code, out, err = run(
+        capsys, "walks", "--n", "4", "--delta", "1", "--method", "all", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert out == "components,1\ncatalan,1\nborel,1\ngf,1\noracle,1\n"
 
 
 @pytest.mark.parametrize("delta", ["0", "-3"])
@@ -97,7 +101,7 @@ def test_walks_all_below_delta_1_is_a_domain_error(capsys, delta):
     assert err == f"error: delta must be >= 1, got {delta}\n"
     code, out, err = run(capsys, "walks", "--n", "4", "--delta", delta, "--method", "gf")
     assert code == 2 and out == ""
-    assert err == "error: the gf method requires delta >= 2\n"
+    assert err == f"error: delta must be >= 1, got {delta}\n"
 
 
 def test_walks_usage_error_exit_2(capsys):
@@ -220,10 +224,14 @@ def test_verify_trivial_bounds(capsys):
     assert code == 0
 
 
-def test_verify_says_when_gf_did_not_run(capsys):
+def test_verify_runs_gf_at_delta_1(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-delta", "1", "--enum-cap", "3")
     assert code == 0
-    assert "five-method agreement              PASS  (gf not run: needs delta >= 2)\n" in out
+    assert "five-method agreement              PASS\n" in out
+    assert "(" not in out
+    assert verify.check_method_agreement(3, 1) == verify.CheckResult(
+        "five-method agreement", True, "", 3
+    )
     assert verify.check_method_agreement(3, 2) == verify.CheckResult(
         "five-method agreement", True, "", 6
     )

@@ -19,21 +19,19 @@ from treewalks.walks import walks_via_borel, walks_via_catalan, walks_via_compon
 PACKAGE_DIR = Path(treewalks.__file__).parent
 
 
-def five_routes(n: int, delta: int, gf: list[int] | None) -> dict[str, int]:
-    values = {
+def five_routes(n: int, delta: int, gf: list[int]) -> dict[str, int]:
+    return {
         "components": walks_via_components(n, delta),
         "catalan": walks_via_catalan(n, delta),
         "borel": walks_via_borel(n, delta),
         "oracle": dp_walk_count(n, delta),
+        "gf": gf[n],
     }
-    if gf is not None:
-        values["gf"] = gf[n]
-    return values
 
 
 def test_five_method_agreement_small():
     for delta in range(1, 7):
-        gf = gf_walk_counts(delta, 60) if delta >= 2 else None
+        gf = gf_walk_counts(delta, 60)
         for n in range(1, 61):
             values = five_routes(n, delta, gf)
             assert len(set(values.values())) == 1, (n, delta, values)
@@ -50,7 +48,7 @@ def test_five_method_agreement_large():
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 300), delta=st.integers(1, 50))
 def test_each_route_matches_dp(n, delta):
-    gf = gf_walk_counts(delta, n) if delta >= 2 else None
+    gf = gf_walk_counts(delta, n)
     expected = dp_walk_count(n, delta)
     for route, value in five_routes(n, delta, gf).items():
         assert value == expected, route

@@ -14,6 +14,7 @@ from operator import mul
 
 import pytest
 
+from treewalks import verify
 from treewalks.exact import exact_div
 from treewalks.series import gf_walk_counts, sqrt_coefficients
 from treewalks.walks import walks_via_catalan
@@ -101,12 +102,16 @@ def test_gf_walk_counts_examples():
     assert gf_walk_counts(5, 0) == [1]
 
 
-def test_gf_rejects_degenerate_delta():
-    with pytest.raises(ValueError):
-        gf_walk_counts(1, 4)
-    with pytest.raises(ValueError):
-        gf_walk_counts(0, 4)
-    with pytest.raises(ValueError):
+def test_gf_at_delta_1_is_all_ones():
+    # 4(delta - 1) = 0 makes s = 1, so W(2n) = W(2n - 2) for every n
+    N = 200
+    counts = gf_walk_counts(1, N)
+    assert counts == [1] * (N + 1)
+    assert verify._gf_quadratic_fault(counts, 1) is None
+    for delta in (0, -3):
+        with pytest.raises(ValueError, match=f"^delta must be >= 1, got {delta}$"):
+            gf_walk_counts(delta, 4)
+    with pytest.raises(ValueError, match="^N must be >= 0, got -1$"):
         gf_walk_counts(3, -1)
 
 
