@@ -24,12 +24,17 @@ short return lists on each of the Catalan(n) paths.
 head run to depth n lists the prefixes of every length m <= n, which are
 exactly the heads of semi-length m, and a tail read backwards is a head,
 so row m costs one pass over the at most C(m, m/2) prefixes of length m
-plus O(m³) products of small counts.
+plus m + 1 squarings of (m + 1)-slot big integers: each height's counts
+by return number are packed into one integer (Kronecker substitution,
+Harvey, J. Symbolic Comput. 44, 2009), as ``oracle.dp_return_profile``
+packs its polynomials.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+
+from treewalks.exact import ExactnessError
 
 #: A half-path: (bits, return positions, end height).
 _Half = tuple[int, list[int], int]
@@ -88,27 +93,40 @@ def component_histograms(n: int) -> list[list[int]]:
     semi-length m with exactly k components; row 0 is [1] (the empty
     path).  One head run to depth n enumerates every prefix once, and its
     level m is exactly the heads of semi-length m, as the room test never
-    binds before step m.  Level m gives H_h[a], the heads ending at height
-    h with a returns.  A tail from h, read backwards with R and L swapped,
-    is a head ending at h, and the tail's returns are that head's visits
-    to height 0 at times 0..m-1 (its start counts, its end does not), so
-    T_h[b] = H_h[b - 1] for h >= 1 and T_0 = H_0.  Every (head, tail) pair
-    of one height is one path with a + b returns, so row m's entry k is
-    the sum over h and a + b = k of H_h[a] T_h[b].
+    binds before step m.  Level m gives H_h(x) = sum_a H_h[a] x^a, the
+    heads ending at height h counted by their a returns.  A tail from h,
+    read backwards with R and L swapped, is a head ending at h, and the
+    tail's returns are that head's visits to height 0 at times 0..m-1
+    (its start counts, its end does not), so T_h = x H_h for h >= 1 and
+    T_0 = H_0.  Every (head, tail) pair of one height is one path with
+    a + b returns, so row m is the coefficient list of
+
+        sum_h H_h T_h = H_0^2 + x sum_(h>=1) H_h^2.
+
+    Each H_h is packed into one integer with a ``2m + 1``-bit slot per
+    power of x, so the row is m + 1 big-integer squarings.  No carry
+    crosses a slot: every term is non-negative, and every coefficient
+    that occurs counts heads or paths, RL-words of length at most 2m, of
+    which there are at most 4^m < 2^(2m+1).  The bound rests on counting
+    alone, not on Catalan's triangle.  A value left above the top slot
+    raises ExactnessError.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rows = []
     for m, level in enumerate(_levels(n, 0, n, 0)):
-        heads = [[0] * (m + 1) for _ in range(m + 1)]
+        bits = 2 * m + 1
+        x = [1 << bits * r for r in range(m + 1)]
+        heads = [0] * (m + 1)
         for _, ends, height in level:
-            heads[height][len(ends)] += 1
-        hist = [0] * (m + 1)
-        for height, counts in enumerate(heads):
-            tails = [0, *counts] if height else counts
-            for a, h in enumerate(counts):
-                if h:
-                    for b, t in enumerate(tails[: m + 1 - a]):
-                        hist[a + b] += h * t
+            heads[height] += x[len(ends)]
+        packed = heads[0] ** 2 + (sum(h * h for h in heads[1:]) << bits)
+        mask = (1 << bits) - 1
+        hist = []
+        for _ in range(m + 1):
+            hist.append(packed & mask)
+            packed >>= bits
+        if packed:
+            raise ExactnessError(f"histogram row {m} carries out of its top slot")
         rows.append(hist)
     return rows

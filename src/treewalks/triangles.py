@@ -14,7 +14,10 @@ and is undefined at n = 0).  The correct denominator is n + 1:
 
 We implement the corrected form and check exact divisibility; the
 transform definition above is kept as an independent second route and
-the two are required to agree everywhere.  ``borel_row`` builds a whole
+the two are required to agree everywhere.  ``borel_transform_row``
+computes the transform a row at a time, as one big integer: Catalan row
+n evaluated at 1 + 2^b by Horner's rule, in O(n) shifts and additions,
+with B(n, k) in b-bit slot k.  ``borel_row`` builds a whole
 row from Cat(n) by the exact ratio of consecutive entries of the
 corrected form, in O(n) products and exact divisions; it is what the
 walk polynomial uses.  ``borel_rows`` is a third route, a row recurrence.
@@ -59,9 +62,39 @@ def borel_entry_explicit(n: int, k: int) -> int:
 
 
 def borel_entry_transform(n: int, k: int) -> int:
-    """B(n, k) by the binomial transform of Catalan's triangle row n."""
+    """B(n, k) by the binomial transform of Catalan's triangle row n.
+
+    This is entry k of ``borel_transform_row(n)``, so one entry costs a
+    whole row; a caller that wants several entries of a row takes the row.
+    """
     _check_index(n, k)
-    return sum(comb(s, k) * catalan_entry(n, s) for s in range(k, n + 1))
+    return borel_transform_row(n)[k]
+
+
+def borel_transform_row(n: int) -> list[int]:
+    """Row n of Borel's triangle by the binomial transform, B_n(x) = P_n(1 + x).
+
+    P_n(y) = sum_s C(n, s) y^s, read through ``catalan_entry``, is
+    evaluated by Horner's rule at y = 1 + 2^b, b = 3n + 3, a shift and
+    two additions per step, and B(n, k) is read off as b-bit slot k
+    (Kronecker substitution).  No carry crosses a slot: every term is
+    non-negative, every coefficient that occurs is at most B(n, k), and
+    B(n, k) <= B_n(1) = P_n(2) <= 2^n Cat(n + 1) < 2^(3n + 2).  A value
+    left above the top slot raises ExactnessError.
+    """
+    _check_index(n, 0)
+    bits = 3 * n + 3
+    packed = 0
+    for s in range(n, -1, -1):
+        packed += (packed << bits) + catalan_entry(n, s)
+    mask = (1 << bits) - 1
+    row = []
+    for _ in range(n + 1):
+        row.append(packed & mask)
+        packed >>= bits
+    if packed:
+        raise ExactnessError(f"Borel transform row {n} carries out of its top slot")
+    return row
 
 
 def borel_row(n: int) -> list[int]:

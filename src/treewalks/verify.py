@@ -18,9 +18,9 @@ from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.series import gf_walk_counts
 from treewalks.triangles import (
     borel_entry_explicit,
-    borel_entry_transform,
     borel_row,
     borel_table,
+    borel_transform_row,
     catalan_entry,
     catalan_number,
     catalan_table,
@@ -177,14 +177,15 @@ def check_bijection(max_n: int) -> CheckResult:
 def check_borel_consistency(max_n: int) -> CheckResult:
     """Explicit formula, transform, ``borel_row`` and ``borel_table`` agree.
 
-    The four routes are compared entry by entry for rows 0..max_n.
+    The four routes are compared entry by entry for rows 0..max_n; the
+    transform is taken a row at a time, by ``borel_transform_row``.
     """
     name = "Borel explicit = transform"
     table = borel_table(max_n)
     for n in range(max_n + 1):
-        row = borel_row(n)
+        row, transform = borel_row(n), borel_transform_row(n)
         for k in range(n + 1):
-            a, b = borel_entry_explicit(n, k), borel_entry_transform(n, k)
+            a, b = borel_entry_explicit(n, k), transform[k]
             if not a == b == row[k]:
                 return CheckResult(name, False, f"(n={n}, k={k}): {a} != {b} or row {row[k]}")
             if table[n][k] != a:

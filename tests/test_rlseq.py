@@ -174,10 +174,12 @@ def test_histogram_matches_per_path_count():
 
 @pytest.fixture(scope="module")
 def rows_to_default_cap():
-    return _kernel.component_histograms(14)
+    return _kernel.component_histograms(16)
 
 
-@pytest.mark.parametrize("n", [13, 14])
+# rows 15 and 16 pack their counts in 31- and 33-bit slots, wider than
+# one 30-bit CPython digit
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
 def test_histogram_matches_closed_form_up_to_default_cap(rows_to_default_cap, n):
     expected = [0, *(s_closed_form(n, k) for k in range(1, n + 1))]
     assert rows_to_default_cap[n] == expected

@@ -17,6 +17,7 @@ from treewalks.triangles import (
     borel_row,
     borel_rows,
     borel_table,
+    borel_transform_row,
     catalan_entry,
     catalan_number,
     catalan_table,
@@ -133,6 +134,18 @@ def test_borel_explicit_equals_transform():
     for n in range(31):
         for k in range(n + 1):
             assert borel_entry_explicit(n, k) == borel_entry_transform(n, k)
+
+
+def test_borel_transform_row_equals_the_transform_sum():
+    # slots of 3n + 3 bits: 183 bits at n = 60
+    for n in range(61):
+        expected = [
+            sum(comb(s, k) * catalan_entry(n, s) for s in range(k, n + 1))
+            for k in range(n + 1)
+        ]
+        assert borel_transform_row(n) == expected, n
+    with pytest.raises(TriangleIndexError):
+        borel_transform_row(-1)
 
 
 def test_borel_row_equals_entry_routes():
