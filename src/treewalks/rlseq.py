@@ -29,9 +29,12 @@ return plain ``str``.  Inside, a word is a (mask, length) pair in the bit
 layout of ``treewalks._kernel`` (R = set bit).  ``_scan`` reads a word's
 letters once, into its mask and component ends, and ``_word`` spells a
 mask back.  That module and this one read the bits, and so, for speed,
-does ``verify.check_bijection``: it takes masks and ends from
-``_kernel.dyck_paths``, in ``_scan``'s layout, and passes them to
-``_delete`` and ``_insert``.
+does ``verify.check_bijection``.  ``_delete`` and ``_insert`` take the
+bounds of the cut or wrapped block from ``_bounds`` and ``_wrap_bounds``
+and are lane-generic: one call maps every 64-bit lane of a packed
+integer, and the word functions here are its one-lane case.  The check
+packs the paths of one level that share their component ends, so one
+call per (class, i) deletes or inserts on all of them.
 """
 
 from __future__ import annotations
@@ -176,12 +179,22 @@ def s_closed_form(n: int, k: int) -> int:
     return catalan_entry(n - 1, n - k)
 
 
-def _delete(mask: int, ends: list[int], i: int) -> int:
-    start = ends[i - 2] if i > 1 else 0
-    end = ends[i - 1]
-    low = mask & ((1 << start) - 1)
-    inner = (mask & ((1 << end) - 1)) >> (start + 1) << start
-    return low | inner | (mask >> end) << (end - 2)
+def _bounds(ends: list[int], i: int) -> tuple[int, int]:
+    """Start and end of component i (1-based) of a path with these ends."""
+    return ends[i - 2] if i > 1 else 0, ends[i - 1]
+
+
+def _delete(mask: int, start: int, end: int, lanes: int = 1) -> int:
+    """Drop bits start and end - 1, moving the bits above each down.
+
+    ``mask`` holds one word per 64-bit lane and ``lanes`` is
+    sum_j 2^(64 j) over its lanes, so every constant mask is repeated in
+    every lane.  No bit crosses a lane: the right shifts move only bits at
+    or above start + 1, or at or above end >= 2, of their own lane.
+    """
+    below = mask & ((1 << end) - 1) * lanes
+    low = below & ((1 << start) - 1) * lanes
+    return low | (below & ((1 << end) - (2 << start)) * lanes) >> 1 | (mask ^ below) >> 2
 
 
 def delete_component_pair(word: str, i: int) -> str:
@@ -195,16 +208,24 @@ def delete_component_pair(word: str, i: int) -> str:
         raise ComponentIndexError(
             f"component index {i} out of range 1..{len(ends)}"
         )
-    return _word(_delete(mask, ends, i), len(word) - 2)
+    return _word(_delete(mask, *_bounds(ends, i)), len(word) - 2)
 
 
-def _insert(mask: int, ends: list[int], i: int, k: int) -> int:
+def _wrap_bounds(ends: list[int], i: int, k: int) -> tuple[int, int]:
+    """Start and end of the block that insertion at (i, k) wraps."""
     hi = len(ends) - k + i  # last wrapped component (may be i-1: wrap nothing)
-    start = ends[i - 2] if i > 1 else 0
-    end = ends[hi - 1] if hi else 0
-    low = mask & ((1 << start) - 1)
-    wrapped = (mask & ((1 << end) - 1)) ^ low
-    return low | 1 << start | wrapped << 1 | (mask >> end) << (end + 2)
+    return ends[i - 2] if i > 1 else 0, ends[hi - 1] if hi else 0
+
+
+def _insert(mask: int, start: int, end: int, lanes: int = 1) -> int:
+    """Wrap bits start..end-1 in a set bit below and a clear bit above.
+
+    Lane-generic as ``_delete`` is.  The left shifts move a lane's bits
+    up by at most two, so a word of at most 62 bits stays in its lane.
+    """
+    below = mask & ((1 << end) - 1) * lanes
+    low = below & ((1 << start) - 1) * lanes
+    return low | lanes << start | (below ^ low) << 1 | (mask ^ below) << 2
 
 
 def insert_component_pair(alpha: str, i: int, k: int) -> str:
@@ -219,4 +240,4 @@ def insert_component_pair(alpha: str, i: int, k: int) -> str:
         raise ComponentIndexError(
             f"need 1 <= i <= k and components >= k-1, got (i={i}, k={k}, components={j})"
         )
-    return _word(_insert(mask, ends, i, k), len(alpha) + 2)
+    return _word(_insert(mask, *_wrap_bounds(ends, i, k)), len(alpha) + 2)

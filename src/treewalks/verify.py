@@ -9,7 +9,8 @@ cases it compared in ``cases``; a check that compared none fails with
 
 from __future__ import annotations
 
-from collections import namedtuple
+import sys
+from collections import defaultdict, namedtuple
 from math import comb
 
 from treewalks import _kernel, rlseq
@@ -117,8 +118,18 @@ def check_s_table(max_n: int, enum_cap: int) -> CheckResult:
     return _passed(name, limit * (limit + 1) // 2)
 
 
+def _check_lane_room(n: int) -> None:
+    # a word of length 2n stays in its 64-bit lane under ``rlseq._insert``,
+    # which shifts it up by two, only while 2n + 2 <= 64
+    if n > 31:
+        raise ValueError(
+            "the bijection check packs paths into 64-bit lanes, so "
+            f"min(--max-n, --enum-cap) must be <= 31, got {n}"
+        )
+
+
 def check_bijection(max_n: int) -> CheckResult:
-    """Exhaustive deletion/insertion bijection check, every i, on masks.
+    """Exhaustive deletion/insertion bijection check, every i, on packed masks.
 
     At each level n, every Dyck path omega with k components and every
     1 <= i <= k is deleted to alpha = f_i(omega), which must be a path of
@@ -130,38 +141,47 @@ def check_bijection(max_n: int) -> CheckResult:
     inserts to a k-component path that deletes back to alpha, for every
     i, and S(n, k) = sum_{j >= k-1} S(n-1, j) follows.
 
+    The paths of a level that share their ends (e_1, ..., e_k), as
+    ``_kernel.dyck_paths`` gives them, form a class, packed one path per
+    64-bit lane (Kronecker packing, as ``_kernel.component_histograms``
+    packs its counts).  They share the deletion bounds (start, end) =
+    (e_(i-1), e_i), so one ``rlseq._delete`` call deletes component i of
+    every lane.  Each image must be in level n - 1, must agree with its
+    omega below start, and from end - 2 on with omega from end on.  Then
+    every image is a path that returns to the root at e_1, ..., e_(i-1),
+    at some points up to end - 2 with a return at end - 2 itself unless
+    end - 2 = start, and then at e_(i+1) - 2, ..., e_k - 2.  So every
+    image has at least k - 1 components, and ``rlseq._wrap_bounds``,
+    which reads the (i-1)-th end and the (k-i+1)-th end from the last,
+    gives every lane lane 0's insertion bounds (start, end - 2).  One
+    ``rlseq._insert`` call then inserts on every lane, and must give the
+    class back.
+
+    A class that fails any of this sends the check back over the level,
+    one (omega, i) pair at a time in the kernel's order, and the first
+    pair that fails is reported; if none fails, the level passes, as it
+    would pair by pair.  A level is packed at 8 bytes a path, and level
+    n - 1 is held as mask -> its class's ends.
+
     The count rests on the kernel yielding each path once, as
-    ``test_kernel_order_is_pinned`` holds it to for n <= 12.  Each level
-    is enumerated once, with its ends; level n - 1 is held as
-    mask -> ends.  Only a failing word is scanned.
+    ``test_kernel_order_is_pinned`` holds it to for n <= 12.  A level past
+    31 would not fit a lane and raises ValueError.
     """
+    from array import array  # here, so that importing the CLI loads nothing new
+
+    _check_lane_room(max_n)
     name = "deletion/insertion bijection"
-    prev: dict[int, list[int]] = {0: []}  # level 0: the empty path
+    prev: dict[int, tuple[int, ...]] = {0: ()}  # level 0: the empty path
     pairs = 0
     for n in range(1, max_n + 1):
-        level: dict[int, list[int]] = {}
-        count = 0
+        classes: dict[tuple[int, ...], array] = defaultdict(lambda: array("Q"))
         for omega, ends in _kernel.dyck_paths(n):
-            if n < max_n:
-                level[omega] = ends
-            k = len(ends)
-            for i in range(1, k + 1):
-                alpha = rlseq._delete(omega, ends, i)
-                alpha_ends = prev.get(alpha)
-                if alpha_ends is None or len(alpha_ends) < k - 1:
-                    return CheckResult(name, False, f"f_{i} image mismatch on (n={n}, k={k})")
-                back = rlseq._insert(alpha, alpha_ends, i, k)
-                if back != omega:
-                    spelled = rlseq._word(back, 2 * n)
-                    ok = (
-                        not back >> 2 * n
-                        and rlseq.is_balanced_legal(spelled)
-                        and len(rlseq.components(spelled)) == k
-                    )
-                    fault = "round trip" if ok else "insert postcondition"
-                    word = rlseq._word(alpha, 2 * n - 2)
-                    return CheckResult(name, False, f"{fault} fails at {word}, i={i}, k={k}")
-            count += k
+            classes[tuple(ends)].append(omega)
+        if not all(_class_round_trips(omegas, ends, prev) for ends, omegas in classes.items()):
+            fault = _first_pair_fault(n, prev)
+            if fault is not None:
+                return CheckResult(name, False, fault)
+        count = sum(len(ends) * len(omegas) for ends, omegas in classes.items())
         triples = sum((len(e) + 1) * (len(e) + 2) // 2 for e in prev.values())
         if count != triples:
             return CheckResult(
@@ -170,8 +190,62 @@ def check_bijection(max_n: int) -> CheckResult:
                 f"{count} (omega, i) pairs but {triples} (alpha, i, k) triples at n={n}",
             )
         pairs += count
-        prev = level
+        prev = {}
+        if n < max_n:
+            for ends, omegas in classes.items():
+                prev.update(dict.fromkeys(omegas, ends))
     return _passed(name, pairs)
+
+
+def _class_round_trips(omegas, ends: tuple[int, ...], prev: dict) -> bool:
+    """True iff every i deletes and re-inserts every lane of the class cleanly.
+
+    ``omegas`` is the class's masks as an ``array("Q")``.
+    """
+    size, order = 8 * len(omegas), sys.byteorder
+    lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * len(omegas), "little")
+    packed = int.from_bytes(omegas, order)
+    k = len(ends)
+    for i in range(1, k + 1):
+        start, end = rlseq._bounds(ends, i)
+        alpha = rlseq._delete(packed, start, end, lanes)
+        try:
+            images = memoryview(alpha.to_bytes(size, order)).cast("Q")
+        except OverflowError:  # a lane spilled over
+            return False
+        alpha_ends = prev.get(images[0])
+        if (
+            alpha_ends is None
+            or len(alpha_ends) < k - 1
+            or not all(map(prev.__contains__, images))
+            or (alpha ^ packed) & ((1 << start) - 1) * lanes
+            or (alpha << 2 ^ packed) & ((1 << 64) - (1 << end)) * lanes
+            or rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k), lanes) != packed
+        ):
+            return False
+    return True
+
+
+def _first_pair_fault(n: int, prev: dict) -> str | None:
+    """The detail of level n's first failing (omega, i) pair, in the kernel's order."""
+    for omega, ends in _kernel.dyck_paths(n):
+        k = len(ends)
+        for i in range(1, k + 1):
+            alpha = rlseq._delete(omega, *rlseq._bounds(ends, i))
+            alpha_ends = prev.get(alpha)
+            if alpha_ends is None or len(alpha_ends) < k - 1:
+                return f"f_{i} image mismatch on (n={n}, k={k})"
+            back = rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k))
+            if back != omega:
+                spelled = rlseq._word(back, 2 * n)
+                ok = (
+                    not back >> 2 * n
+                    and rlseq.is_balanced_legal(spelled)
+                    and len(rlseq.components(spelled)) == k
+                )
+                fault = "round trip" if ok else "insert postcondition"
+                return f"{fault} fails at {rlseq._word(alpha, 2 * n - 2)}, i={i}, k={k}"
+    return None
 
 
 def check_borel_consistency(max_n: int) -> CheckResult:
@@ -257,6 +331,7 @@ def check_fixtures() -> CheckResult:
 
 
 def run_all(max_n: int, max_delta: int, enum_cap: int) -> list[CheckResult]:
+    _check_lane_room(min(max_n, enum_cap))
     return [
         check_method_agreement(max_n, max_delta),
         check_s_table(max_n, enum_cap),

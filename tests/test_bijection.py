@@ -6,7 +6,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treewalks import _kernel, rlseq, verify
@@ -18,6 +18,9 @@ from treewalks.rlseq import (
     insert_component_pair,
     is_balanced_legal,
 )
+
+DELETE, INSERT = rlseq._delete, rlseq._insert
+WORD = (1 << 64) - 1
 
 
 @pytest.mark.parametrize(
@@ -162,7 +165,7 @@ def test_maps_match_string_slicing_reference():
 
 def test_verify_bijection_check_catches_a_wrong_deletion(monkeypatch):
     # drops the first two steps instead of the first component's outer R...L
-    monkeypatch.setattr(rlseq, "_delete", lambda mask, ends, i: mask >> 2)
+    monkeypatch.setattr(rlseq, "_delete", lambda mask, start, end, lanes=1: mask >> 2)
     result = verify.check_bijection(4)
     assert not result.passed
     assert re.search(r"\(n=\d+, k=\d+\)", result.detail)
@@ -172,11 +175,8 @@ def test_verify_bijection_check_catches_an_insert_below_the_root(monkeypatch):
     # wraps the block in L...R instead of R...L, so omega dips below the root
     insert = rlseq._insert
 
-    def flipped(mask, ends, i, k):
-        hi = len(ends) - k + i
-        start = ends[i - 2] if i > 1 else 0
-        end = ends[hi - 1] if hi else 0
-        return insert(mask, ends, i, k) ^ (1 << start | 1 << (end + 1))
+    def flipped(mask, start, end, lanes=1):
+        return insert(mask, start, end, lanes) ^ (lanes << start | lanes << (end + 1))
 
     monkeypatch.setattr(rlseq, "_insert", flipped)
     result = verify.check_bijection(4)
@@ -186,9 +186,9 @@ def test_verify_bijection_check_catches_an_insert_below_the_root(monkeypatch):
 
 def test_verify_bijection_check_catches_a_wrong_round_trip(monkeypatch):
     # inserts at the mirrored index: a valid word with k components, not omega
-    insert = rlseq._insert
+    wrap_bounds = rlseq._wrap_bounds
     monkeypatch.setattr(
-        rlseq, "_insert", lambda mask, ends, i, k: insert(mask, ends, k - i + 1, k)
+        rlseq, "_wrap_bounds", lambda ends, i, k: wrap_bounds(ends, k - i + 1, k)
     )
     result = verify.check_bijection(4)
     assert not result.passed
@@ -218,3 +218,148 @@ def test_verify_bijection_check_counts_every_pair(max_n, pairs):
     assert verify.check_bijection(max_n) == verify.CheckResult(
         "deletion/insertion bijection", True, cases=pairs
     )
+
+
+@st.composite
+def _block(draw):
+    end = draw(st.integers(min_value=2, max_value=62))
+    return draw(st.integers(min_value=0, max_value=end - 2)), end
+
+
+@given(
+    st.lists(st.integers(0, (1 << 62) - 1) | st.integers(1 << 61, (1 << 62) - 1), min_size=1),
+    _block(),
+)
+@example([(1 << 62) - 1, 1 << 61, (1 << 62) - 1], (0, 62))
+@example([(1 << 62) - 1, 0, (1 << 62) - 1], (60, 62))
+def test_maps_act_on_each_lane_as_on_one_word(words, block):
+    # 62-bit words fill a lane up to the two guard bits that insertion needs
+    start, end = block
+    lanes = sum(1 << 64 * j for j in range(len(words)))
+    packed = sum(w << 64 * j for j, w in enumerate(words))
+    for fn in (DELETE, INSERT):
+        out = fn(packed, start, end, lanes)
+        assert [out >> 64 * j & WORD for j in range(len(words))] == [
+            fn(w, start, end) for w in words
+        ]
+        assert not out >> 64 * len(words)
+
+
+def _reference_check(max_n):
+    """The bijection check one (omega, i) pair at a time, as it ran before packing."""
+    name = "deletion/insertion bijection"
+    prev = {0: []}
+    pairs = 0
+    for n in range(1, max_n + 1):
+        level = {}
+        count = 0
+        for omega, ends in _kernel.dyck_paths(n):
+            if n < max_n:
+                level[omega] = ends
+            k = len(ends)
+            for i in range(1, k + 1):
+                alpha = rlseq._delete(omega, *rlseq._bounds(ends, i))
+                alpha_ends = prev.get(alpha)
+                if alpha_ends is None or len(alpha_ends) < k - 1:
+                    detail = f"f_{i} image mismatch on (n={n}, k={k})"
+                    return verify.CheckResult(name, False, detail)
+                back = rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k))
+                if back != omega:
+                    spelled = rlseq._word(back, 2 * n)
+                    ok = (
+                        not back >> 2 * n
+                        and rlseq.is_balanced_legal(spelled)
+                        and len(rlseq.components(spelled)) == k
+                    )
+                    fault = "round trip" if ok else "insert postcondition"
+                    word = rlseq._word(alpha, 2 * n - 2)
+                    detail = f"{fault} fails at {word}, i={i}, k={k}"
+                    return verify.CheckResult(name, False, detail)
+            count += k
+        triples = sum((len(e) + 1) * (len(e) + 2) // 2 for e in prev.values())
+        if count != triples:
+            detail = f"{count} (omega, i) pairs but {triples} (alpha, i, k) triples at n={n}"
+            return verify.CheckResult(name, False, detail)
+        pairs += count
+        prev = level
+    return verify._passed(name, pairs)
+
+
+@pytest.mark.parametrize("max_n", range(10))
+def test_packed_check_equals_the_per_pair_reference(max_n):
+    assert verify.check_bijection(max_n) == _reference_check(max_n)
+
+
+def _one_lane_fault(fn, target, wrong):
+    """fn with the result for one (word, start, end) replaced, on every lane."""
+
+    def faulty(mask, start, end, lanes=1):
+        out = 0
+        for j in range(lanes.bit_length() // 64 + 1):
+            word = mask >> 64 * j & WORD
+            got = fn(word, start, end)
+            out |= (wrong(got) if (word, start, end) == target else got) << 64 * j
+        return out
+
+    return faulty
+
+
+RRLRLL, RLRL, RRLRLRLRLL, RLRRLRLL = 0b001011, 0b0101, 0b0010101011, 0b00101101
+
+
+@pytest.mark.parametrize(
+    "n, omega, attr, target, wrong, detail",
+    [
+        # RRLRLL is lane 1 of the level-3 class with ends (6,); RRRLLL is lane 0
+        (3, RRLRLL, "_delete", (RRLRLL, 0, 6), lambda _: 0b0011, "round trip fails at RRLL, i=1, k=1"),
+        (3, RRLRLL, "_delete", (RRLRLL, 0, 6), lambda _: 0b1111, "f_1 image mismatch on (n=3, k=1)"),
+        (
+            3,
+            RRLRLL,
+            "_insert",
+            (RLRL, 0, 4),
+            lambda got: got ^ (1 | 1 << 5),
+            "insert postcondition fails at RLRL, i=1, k=1",
+        ),
+        (
+            5,
+            RRLRLRLRLL,
+            "_delete",
+            (RRLRLRLRLL, 0, 10),
+            lambda _: 0b01010011,
+            "round trip fails at RRLLRLRL, i=1, k=1",
+        ),
+        # component 2 of RLRRLRLL, lane 1 of the class with ends (2, 8)
+        (
+            4,
+            RLRRLRLL,
+            "_delete",
+            (RLRRLRLL, 2, 8),
+            lambda _: 0b001101,
+            "round trip fails at RLRRLL, i=2, k=2",
+        ),
+    ],
+)
+def test_a_fault_in_one_lane_is_reported_as_per_pair(
+    monkeypatch, n, omega, attr, target, wrong, detail
+):
+    # the failing pair is omega's, and omega is not lane 0 of its class
+    classes = {}
+    for mask, ends in _kernel.dyck_paths(n):
+        classes.setdefault(tuple(ends), []).append(mask)
+    (lanes,) = [c for c in classes.values() if omega in c]
+    assert len(lanes) >= 2 and lanes[0] != omega
+    monkeypatch.setattr(rlseq, attr, _one_lane_fault(getattr(rlseq, attr), target, wrong))
+    expected = verify.CheckResult("deletion/insertion bijection", False, detail)
+    assert verify.check_bijection(6) == _reference_check(6) == expected
+
+
+def test_levels_past_a_lane_are_refused_before_any_check(monkeypatch):
+    monkeypatch.setattr(verify, "check_method_agreement", lambda *_: pytest.fail("a check ran"))
+    for refused in (lambda: verify.run_all(32, 1, 32), lambda: verify.check_bijection(32)):
+        with pytest.raises(ValueError, match="--enum-cap"):
+            refused()
+    # level 31 is taken: with no paths it fails at level 1, not up front
+    monkeypatch.setattr(_kernel, "dyck_paths", lambda n: iter(()))
+    detail = "0 (omega, i) pairs but 1 (alpha, i, k) triples at n=1"
+    assert verify.check_bijection(31).detail == detail

@@ -211,6 +211,7 @@ def test_a_check_that_compares_nothing_fails():
         (["stable", "--n", "-1", "--method", "closed"], "n must be >= 0, got -1"),
         (["verify", "--enum-cap", "0"], "--enum-cap"),
         (["triangle", "catalan", "--rows", "-1"], "--rows"),
+        (["verify", "--max-n", "32", "--enum-cap", "32"], "--enum-cap"),
     ],
 )
 def test_bounds_that_check_nothing_exit_2(capsys, argv, option):
