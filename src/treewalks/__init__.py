@@ -20,9 +20,9 @@ from treewalks.rlseq import (
 from treewalks.series import gf_walk_counts
 from treewalks.triangles import (
     borel_entry_explicit,
-    borel_entry_transform,
     borel_row,
     borel_table,
+    borel_transform_row,
     catalan_entry,
     catalan_number,
     catalan_table,
@@ -47,9 +47,9 @@ __all__ = [
     "KERNEL_BACKEND",
     "ExactnessError",
     "borel_entry_explicit",
-    "borel_entry_transform",
     "borel_row",
     "borel_table",
+    "borel_transform_row",
     "catalan_entry",
     "catalan_number",
     "catalan_table",

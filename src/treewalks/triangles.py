@@ -14,13 +14,14 @@ and is undefined at n = 0).  The correct denominator is n + 1:
 
 We implement the corrected form and check exact divisibility; the
 transform definition above is kept as an independent second route and
-the two are required to agree everywhere.  ``borel_transform_row``
-computes the transform a row at a time, as one big integer: Catalan row
-n evaluated at 1 + 2^b by Horner's rule, in O(n) shifts and additions,
-with B(n, k) in b-bit slot k.  ``borel_row`` builds a whole
-row from Cat(n) by the exact ratio of consecutive entries of the
-corrected form, in O(n) products and exact divisions; it is what the
-walk polynomial uses.  ``borel_rows`` is a third route, a row recurrence.
+the two are required to agree everywhere.  That route is a row
+function, ``borel_transform_row``: Catalan row n evaluated at 1 + 2^b
+by Horner's rule, in O(n) shifts and additions, as one big integer with
+B(n, k) in b-bit slot k; the test suite holds it to the sum above
+(``test_borel_transform_row_equals_the_transform_sum``).  ``borel_row``
+builds a whole row from Cat(n) by the exact ratio of consecutive entries
+of the corrected form, in O(n) products and exact divisions; it is what
+the walk polynomial uses.  ``borel_rows`` is a third route, a row recurrence.
 """
 
 from __future__ import annotations
@@ -59,16 +60,6 @@ def borel_entry_explicit(n: int, k: int) -> int:
     """B(n, k) by the corrected explicit formula (1/(n+1) denominator)."""
     _check_index(n, k)
     return exact_div(comb(2 * n + 2, n - k) * comb(n + k, n), n + 1)
-
-
-def borel_entry_transform(n: int, k: int) -> int:
-    """B(n, k) by the binomial transform of Catalan's triangle row n.
-
-    This is entry k of ``borel_transform_row(n)``, so one entry costs a
-    whole row; a caller that wants several entries of a row takes the row.
-    """
-    _check_index(n, k)
-    return borel_transform_row(n)[k]
 
 
 def borel_transform_row(n: int) -> list[int]:

@@ -18,8 +18,8 @@ from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.series import gf_walk_counts
 from treewalks.triangles import (
     borel_entry_explicit,
-    borel_entry_transform,
     borel_table,
+    borel_transform_row,
     catalan_entry,
     catalan_table,
 )
@@ -159,8 +159,7 @@ def test_criterion_5_bijection_suite():
 def test_criterion_6_borel_consistency():
     with criterion(6, "Borel explicit = transform (+typo regression)"):
         for n in range(31):
-            for k in range(n + 1):
-                assert borel_entry_explicit(n, k) == borel_entry_transform(n, k)
+            assert [borel_entry_explicit(n, k) for k in range(n + 1)] == borel_transform_row(n)
         # the formula as printed (1/n denominator) fails at (1, 0)
         assert comb(4, 1) * comb(1, 1) // 1 == 4 != borel_entry_explicit(1, 0) == 2
 

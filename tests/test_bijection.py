@@ -354,6 +354,26 @@ def test_a_fault_in_one_lane_is_reported_as_per_pair(
     assert verify.check_bijection(6) == _reference_check(6) == expected
 
 
+def _lane_zero_only(mask, start, end, lanes=1):
+    # every lane but 0 is shifted as if unmasked, so a class of two or more
+    # paths fails while each single word is deleted right
+    return DELETE(mask, start, end)
+
+
+def _spill_past_top_lane(mask, start, end, lanes=1):
+    # the packed image overflows its class's bytes, and a single word gets
+    # bit 64, which no path of level n - 1 has
+    return DELETE(mask, start, end, lanes) | lanes << 64
+
+
+@pytest.mark.parametrize("fake, passed", [(_lane_zero_only, True), (_spill_past_top_lane, False)])
+def test_a_failed_class_is_judged_pair_by_pair(monkeypatch, fake, passed):
+    monkeypatch.setattr(rlseq, "_delete", fake)
+    result = verify.check_bijection(6)
+    assert result == _reference_check(6)
+    assert result.passed is passed
+
+
 def test_levels_past_a_lane_are_refused_before_any_check(monkeypatch):
     monkeypatch.setattr(verify, "check_method_agreement", lambda *_: pytest.fail("a check ran"))
     for refused in (lambda: verify.run_all(32, 1, 32), lambda: verify.check_bijection(32)):

@@ -238,6 +238,8 @@ def test_negative_n_rejected():
         enumerate_sequences(-1)
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         _kernel.component_histograms(-1)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        s_table_recurrence(-1)
 
 
 def test_s_table_enumerated_small_values():

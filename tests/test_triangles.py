@@ -13,13 +13,13 @@ from treewalks.rlseq import s_table_enumerated, s_table_recurrence
 from treewalks.triangles import (
     TriangleIndexError,
     borel_entry_explicit,
-    borel_entry_transform,
     borel_row,
     borel_rows,
     borel_table,
     borel_transform_row,
     catalan_entry,
     catalan_number,
+    catalan_rows,
     catalan_table,
     checked_rows,
 )
@@ -122,18 +122,17 @@ def test_borel_explicit_values(n, k, expected):
 
 @pytest.mark.parametrize("n,k,expected", [(3, 2, 20), (5, 3, 616)])
 def test_borel_transform_values(n, k, expected):
-    assert borel_entry_transform(n, k) == expected
+    assert borel_transform_row(n)[k] == expected
 
 
 def test_borel_diagonal_is_catalan():
     for n in range(20):
-        assert borel_entry_transform(n, n) == catalan_number(n)
+        assert borel_transform_row(n)[n] == catalan_number(n)
 
 
 def test_borel_explicit_equals_transform():
     for n in range(31):
-        for k in range(n + 1):
-            assert borel_entry_explicit(n, k) == borel_entry_transform(n, k)
+        assert borel_transform_row(n) == [borel_entry_explicit(n, k) for k in range(n + 1)]
 
 
 def test_borel_transform_row_equals_the_transform_sum():
@@ -151,7 +150,7 @@ def test_borel_transform_row_equals_the_transform_sum():
 def test_borel_row_equals_entry_routes():
     for n in range(41):
         row = borel_row(n)
-        assert row == [borel_entry_transform(n, k) for k in range(n + 1)]
+        assert row == borel_transform_row(n)
         assert row == [borel_entry_explicit(n, k) for k in range(n + 1)]
     with pytest.raises(TriangleIndexError):
         borel_row(-1)
@@ -192,8 +191,10 @@ def test_index_errors():
             catalan_entry(*bad)
         with pytest.raises(TriangleIndexError):
             borel_entry_explicit(*bad)
+    # a number or a whole row has no k: only n < 0 is outside
+    for refused in (catalan_number, borel_transform_row, lambda n: next(catalan_rows(n))):
         with pytest.raises(TriangleIndexError):
-            borel_entry_transform(*bad)
+            refused(-1)
 
 
 def test_table_invariants_and_bounds():

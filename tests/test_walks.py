@@ -10,7 +10,7 @@ import pytest
 from treewalks import cli, verify
 from treewalks.oracle import dp_return_profile, dp_walk_count
 from treewalks.series import gf_walk_counts
-from treewalks.triangles import borel_entry_transform, catalan_entry, catalan_number
+from treewalks.triangles import borel_transform_row, catalan_entry, catalan_number
 from treewalks.walks import (
     first_return_count,
     second_return_count,
@@ -120,10 +120,11 @@ def test_polynomial_structure():
         assert len(poly) == n  # exponents n down to 1: no constant term
         # leading coefficient is B(n-1, 0), which is the n-th Catalan number
         assert poly[0] == catalan_number(n) > 0
-        for l in range(1, n + 1):
-            c = poly[n - l]
-            assert c == (-1) ** (n - l) * borel_entry_transform(n - 1, n - l)
-            assert c != 0 and (c > 0) == ((n - l) % 2 == 0)
+        # the coefficient of delta^l is (-1)^(n-l) B(n-1, n-l)
+        row = borel_transform_row(n - 1)
+        assert list(poly) == [(-1) ** j * row[j] for j in range(n)]
+        for j, c in enumerate(poly):
+            assert c != 0 and (c > 0) == (j % 2 == 0)
 
 
 def test_polynomial_evaluation_matches_dp_oracle():
