@@ -33,8 +33,8 @@ does ``verify.check_bijection``.  ``_delete`` and ``_insert`` take the
 bounds of the cut or wrapped block from ``_bounds`` and ``_wrap_bounds``
 and are lane-generic: one call maps every 64-bit lane of a packed
 integer, and the word functions here are its one-lane case.  The check
-packs the paths of one level that share their component ends, so one
-call per (class, i) deletes or inserts on all of them.
+packs the (path, i) pairs of one level whose component i spans the same
+block of steps, so one call per block deletes or inserts on all of them.
 """
 
 from __future__ import annotations

@@ -141,27 +141,29 @@ def check_bijection(max_n: int) -> CheckResult:
     inserts to a k-component path that deletes back to alpha, for every
     i, and S(n, k) = sum_{j >= k-1} S(n-1, j) follows.
 
-    The paths of a level that share their ends (e_1, ..., e_k), as
-    ``_kernel.dyck_paths`` gives them, form a class, packed one path per
-    64-bit lane (Kronecker packing, as ``_kernel.component_histograms``
-    packs its counts).  They share the deletion bounds (start, end) =
-    (e_(i-1), e_i), so one ``rlseq._delete`` call deletes component i of
-    every lane.  Each image must be in level n - 1, must agree with its
-    omega below start, and from end - 2 on with omega from end on.  Then
-    every image is a path that returns to the root at e_1, ..., e_(i-1),
-    at some points up to end - 2 with a return at end - 2 itself unless
-    end - 2 = start, and then at e_(i+1) - 2, ..., e_k - 2.  So every
-    image has at least k - 1 components, and ``rlseq._wrap_bounds``,
+    The pairs of a level whose component i spans the same deletion block
+    (start, end) = (e_(i-1), e_i), as ``_kernel.dyck_paths`` gives the
+    ends, are packed one path per 64-bit lane (Kronecker packing, as
+    ``_kernel.component_histograms`` packs its counts), whatever their i
+    and k, so one ``rlseq._delete`` call deletes the block from every lane.
+    Each image must be in level n - 1, must agree with its omega below
+    start, and from end - 2 on with omega from end on.  Then every image is
+    a path that returns to the root at e_1, ..., e_(i-1), at some points up
+    to end - 2 with a return at end - 2 itself unless end - 2 = start, and
+    then at e_(i+1) - 2, ..., e_k - 2, with its lane's own i and k.  So
+    every image has at least k - 1 components, and ``rlseq._wrap_bounds``,
     which reads the (i-1)-th end and the (k-i+1)-th end from the last,
-    gives every lane lane 0's insertion bounds (start, end - 2).  One
-    ``rlseq._insert`` call then inserts on every lane, and must give the
-    class back.
+    gives every lane the insertion bounds (start, end - 2) that it gives
+    lane 0.  One ``rlseq._insert`` call then inserts on every lane, and
+    must give the block back.
 
-    A class that fails any of this sends the check back over the level,
+    A block that fails any of this sends the check back over the level,
     one (omega, i) pair at a time in the kernel's order, and the first
     pair that fails is reported; if none fails, the level passes, as it
-    would pair by pair.  A level is packed at 8 bytes a path, and level
-    n - 1 is held as mask -> its class's ends.
+    would pair by pair.  A level is packed at 8 bytes a path in the
+    classes of paths that share their ends, each block is copied from its
+    classes when it is checked, and level n - 1 is held as mask -> its
+    class's ends.
 
     The count rests on the kernel yielding each path once, as
     ``test_kernel_order_is_pinned`` holds it to for n <= 12.  A level past
@@ -177,10 +179,18 @@ def check_bijection(max_n: int) -> CheckResult:
         classes: dict[tuple[int, ...], array] = defaultdict(lambda: array("Q"))
         for omega, ends in _kernel.dyck_paths(n):
             classes[tuple(ends)].append(omega)
-        if not all(_class_round_trips(omegas, ends, prev) for ends, omegas in classes.items()):
-            fault = _first_pair_fault(n, prev)
-            if fault is not None:
-                return CheckResult(name, False, fault)
+        blocks = defaultdict(list)  # (start, end) -> the ends of its classes
+        for ends in classes:
+            for i in range(1, len(ends) + 1):
+                blocks[rlseq._bounds(ends, i)].append(ends)
+        for (start, end), members in blocks.items():
+            block = b"".join(map(classes.__getitem__, members))
+            i, k = members[0].index(end) + 1, len(members[0])
+            if not _block_round_trips(block, start, end, i, k, prev):
+                fault = _first_pair_fault(n, prev)
+                if fault is not None:
+                    return CheckResult(name, False, fault)
+                break
         count = sum(len(ends) * len(omegas) for ends, omegas in classes.items())
         triples = sum((len(e) + 1) * (len(e) + 2) // 2 for e in prev.values())
         if count != triples:
@@ -197,33 +207,29 @@ def check_bijection(max_n: int) -> CheckResult:
     return _passed(name, pairs)
 
 
-def _class_round_trips(omegas, ends: tuple[int, ...], prev: dict) -> bool:
-    """True iff every i deletes and re-inserts every lane of the class cleanly.
+def _block_round_trips(omegas, start: int, end: int, i: int, k: int, prev: dict) -> bool:
+    """True iff every lane of the block deletes and re-inserts cleanly.
 
-    ``omegas`` is the class's masks as an ``array("Q")``.
+    ``omegas`` is the block's masks in native 8-byte words; lane 0 has
+    component i of k at (start, end).
     """
-    size, order = 8 * len(omegas), sys.byteorder
-    lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * len(omegas), "little")
+    size, order = len(omegas), sys.byteorder
+    lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (size // 8), "little")
     packed = int.from_bytes(omegas, order)
-    k = len(ends)
-    for i in range(1, k + 1):
-        start, end = rlseq._bounds(ends, i)
-        alpha = rlseq._delete(packed, start, end, lanes)
-        try:
-            images = memoryview(alpha.to_bytes(size, order)).cast("Q")
-        except OverflowError:  # a lane spilled over
-            return False
-        alpha_ends = prev.get(images[0])
-        if (
-            alpha_ends is None
-            or len(alpha_ends) < k - 1
-            or not all(map(prev.__contains__, images))
-            or (alpha ^ packed) & ((1 << start) - 1) * lanes
-            or (alpha << 2 ^ packed) & ((1 << 64) - (1 << end)) * lanes
-            or rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k), lanes) != packed
-        ):
-            return False
-    return True
+    alpha = rlseq._delete(packed, start, end, lanes)
+    try:
+        images = memoryview(alpha.to_bytes(size, order)).cast("Q")
+    except OverflowError:  # a lane spilled over
+        return False
+    alpha_ends = prev.get(images[0])
+    return not (
+        alpha_ends is None
+        or len(alpha_ends) < k - 1
+        or not all(map(prev.__contains__, images))
+        or (alpha ^ packed) & ((1 << start) - 1) * lanes
+        or (alpha << 2 ^ packed) & ((1 << 64) - (1 << end)) * lanes
+        or rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k), lanes) != packed
+    )
 
 
 def _first_pair_fault(n: int, prev: dict) -> str | None:

@@ -305,6 +305,34 @@ def _one_lane_fault(fn, target, wrong):
 
 
 RRLRLL, RLRL, RRLRLRLRLL, RLRRLRLL = 0b001011, 0b0101, 0b0010101011, 0b00101101
+RRLLRLRL, RLRLRLRL = 0b01010011, 0b01010101
+
+
+def _classes(n):
+    """Level n's paths grouped by their ends, in the kernel's order."""
+    classes = {}
+    for mask, ends in _kernel.dyck_paths(n):
+        classes.setdefault(tuple(ends), []).append(mask)
+    return classes
+
+
+def _block_lanes(n, start, end):
+    """The lanes of level n's deletion block (start, end), in the check's order."""
+    return [
+        mask
+        for ends, masks in _classes(n).items()
+        if end in ends and (start == 0 or ends[ends.index(end) - 1] == start)
+        for mask in masks
+    ]
+
+
+def test_a_block_mixes_component_indices_and_counts():
+    # (start, end) = (4, 6) is component 2 of 3 of lane 0, and 3 of 4 of lane 1
+    lanes = _block_lanes(4, 4, 6)
+    assert lanes[:2] == [RRLLRLRL, RLRLRLRL]
+    ends = [rlseq._scan(rlseq._word(mask, 8))[1] for mask in lanes[:2]]
+    assert ends == [[4, 6, 8], [2, 4, 6, 8]]
+    assert [rlseq._bounds(ends[0], 2), rlseq._bounds(ends[1], 3)] == [(4, 6)] * 2
 
 
 @pytest.mark.parametrize(
@@ -329,7 +357,7 @@ RRLRLL, RLRL, RRLRLRLRLL, RLRRLRLL = 0b001011, 0b0101, 0b0010101011, 0b00101101
             lambda _: 0b01010011,
             "round trip fails at RRLLRLRL, i=1, k=1",
         ),
-        # component 2 of RLRRLRLL, lane 1 of the class with ends (2, 8)
+        # component 2 of RLRRLRLL, lane 1 of the block (2, 8)
         (
             4,
             RLRRLRLL,
@@ -338,40 +366,94 @@ RRLRLL, RLRL, RRLRLRLRLL, RLRRLRLL = 0b001011, 0b0101, 0b0010101011, 0b00101101
             lambda _: 0b001101,
             "round trip fails at RLRRLL, i=2, k=2",
         ),
+        # component 3 of RLRLRLRL, lane 1 of the block (4, 6), whose lane 0
+        # RRLLRLRL has it as component 2 of 3
+        (
+            4,
+            RLRLRLRL,
+            "_delete",
+            (RLRLRLRL, 4, 6),
+            lambda _: 0b010011,
+            "f_3 image mismatch on (n=4, k=4)",
+        ),
+        (
+            4,
+            RLRLRLRL,
+            "_insert",
+            (0b010101, 4, 4),
+            lambda got: got ^ (1 << 5 | 1 << 6),
+            "insert postcondition fails at RLRLRL, i=3, k=4",
+        ),
     ],
 )
 def test_a_fault_in_one_lane_is_reported_as_per_pair(
     monkeypatch, n, omega, attr, target, wrong, detail
 ):
-    # the failing pair is omega's, and omega is not lane 0 of its class
-    classes = {}
-    for mask, ends in _kernel.dyck_paths(n):
-        classes.setdefault(tuple(ends), []).append(mask)
-    (lanes,) = [c for c in classes.values() if omega in c]
-    assert len(lanes) >= 2 and lanes[0] != omega
+    # the failing pair is omega's, and omega is not lane 0 of its block
+    _, start, end = target
+    lanes = _block_lanes(n, start, end + 2 * (attr == "_insert"))
+    assert omega in lanes[1:]
     monkeypatch.setattr(rlseq, attr, _one_lane_fault(getattr(rlseq, attr), target, wrong))
     expected = verify.CheckResult("deletion/insertion bijection", False, detail)
     assert verify.check_bijection(6) == _reference_check(6) == expected
 
 
 def _lane_zero_only(mask, start, end, lanes=1):
-    # every lane but 0 is shifted as if unmasked, so a class of two or more
+    # every lane but 0 is shifted as if unmasked, so a block of two or more
     # paths fails while each single word is deleted right
     return DELETE(mask, start, end)
 
 
 def _spill_past_top_lane(mask, start, end, lanes=1):
-    # the packed image overflows its class's bytes, and a single word gets
+    # the packed image overflows its block's bytes, and a single word gets
     # bit 64, which no path of level n - 1 has
     return DELETE(mask, start, end, lanes) | lanes << 64
 
 
 @pytest.mark.parametrize("fake, passed", [(_lane_zero_only, True), (_spill_past_top_lane, False)])
-def test_a_failed_class_is_judged_pair_by_pair(monkeypatch, fake, passed):
+def test_a_failed_block_is_judged_pair_by_pair(monkeypatch, fake, passed):
     monkeypatch.setattr(rlseq, "_delete", fake)
     result = verify.check_bijection(6)
     assert result == _reference_check(6)
     assert result.passed is passed
+
+
+def test_every_lane_of_a_block_wraps_its_image_at_the_same_bounds():
+    # alpha = f_i(omega), read through its own ends with omega's own i and
+    # k, is wrapped at (start, end - 2): a bound that depends on the block
+    # alone, so lane 0's bounds serve every lane of the block
+    prev = {0: []}
+    for n in range(1, 10):
+        level = dict(_kernel.dyck_paths(n))
+        for omega, ends in level.items():
+            k = len(ends)
+            for i in range(1, k + 1):
+                start, end = rlseq._bounds(ends, i)
+                alpha_ends = prev[rlseq._delete(omega, start, end)]
+                assert rlseq._wrap_bounds(alpha_ends, i, k) == (start, end - 2)
+        prev = level
+
+
+def test_the_check_makes_one_packed_insertion_per_block(monkeypatch):
+    # a level of semi-length n has n(n+1)/2 blocks (start, end), even
+    # 0 <= start < end <= 2n: 220 over levels 1..10, where one call per
+    # class of shared ends and component index would make 5,120
+    calls = []
+    insert = rlseq._insert
+
+    def counted(mask, start, end, lanes=1):
+        calls.append(lanes)
+        return insert(mask, start, end, lanes)
+
+    monkeypatch.setattr(rlseq, "_insert", counted)
+    assert verify.check_bijection(10).passed
+    blocks = {
+        (n, rlseq._bounds(ends, i))
+        for n in range(1, 11)
+        for ends in _classes(n)
+        for i in range(1, len(ends) + 1)
+    }
+    assert len(calls) == len(blocks) == 220
 
 
 def test_levels_past_a_lane_are_refused_before_any_check(monkeypatch):
