@@ -95,13 +95,12 @@ def _gf_quadratic_fault(f: list[int], delta: int) -> tuple[int, int] | None:
     return None
 
 
-def check_s_table(max_n: int, enum_cap: int) -> CheckResult:
-    """enumerated = recurrence = closed form for all S(n, k)."""
+def check_s_table(max_n: int) -> CheckResult:
+    """enumerated = recurrence = closed form for all S(n, k), n <= max_n."""
     name = "S-table triple equality"
-    limit = min(max_n, enum_cap)
-    enum = rlseq.s_table_enumerated(limit, cap=enum_cap)
-    rec = rlseq.s_table_recurrence(limit)
-    for n in range(1, limit + 1):
+    enum = rlseq.s_table_enumerated(max_n, cap=max_n)
+    rec = rlseq.s_table_recurrence(max_n)
+    for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             a, b, c = enum[n][k], rec[n][k], rlseq.s_closed_form(n, k)
             if not (a == b == c):
@@ -115,7 +114,7 @@ def check_s_table(max_n: int, enum_cap: int) -> CheckResult:
             return CheckResult(
                 name, False, f"row {n} sums to {total}, not Catalan({n})"
             )
-    return _passed(name, limit * (limit + 1) // 2)
+    return _passed(name, max_n * (max_n + 1) // 2)
 
 
 def _check_lane_room(n: int) -> None:
@@ -161,9 +160,10 @@ def check_bijection(max_n: int) -> CheckResult:
     one (omega, i) pair at a time in the kernel's order, and the first
     pair that fails is reported; if none fails, the level passes, as it
     would pair by pair.  A level is packed at 8 bytes a path in the
-    classes of paths that share their ends, each block is copied from its
-    classes when it is checked, and level n - 1 is held as mask -> its
-    class's ends.
+    classes of paths that share their ends, and each block is copied from
+    its classes when it is checked.  Level n - 1 is held as the set of its
+    masks and its count of triples; the ends of an image that the check
+    reads, lane 0's of a block or one pair's, are scanned from its word.
 
     The count rests on the kernel yielding each path once, as
     ``test_kernel_order_is_pinned`` holds it to for n <= 12.  A level past
@@ -173,7 +173,7 @@ def check_bijection(max_n: int) -> CheckResult:
 
     _check_lane_room(max_n)
     name = "deletion/insertion bijection"
-    prev: dict[int, tuple[int, ...]] = {0: ()}  # level 0: the empty path
+    prev, triples = {0}, 1  # level 0: the empty path and its one triple
     pairs = 0
     for n in range(1, max_n + 1):
         classes: dict[tuple[int, ...], array] = defaultdict(lambda: array("Q"))
@@ -186,13 +186,12 @@ def check_bijection(max_n: int) -> CheckResult:
         for (start, end), members in blocks.items():
             block = b"".join(map(classes.__getitem__, members))
             i, k = members[0].index(end) + 1, len(members[0])
-            if not _block_round_trips(block, start, end, i, k, prev):
+            if not _block_round_trips(block, start, end, i, k, n, prev):
                 fault = _first_pair_fault(n, prev)
                 if fault is not None:
                     return CheckResult(name, False, fault)
                 break
         count = sum(len(ends) * len(omegas) for ends, omegas in classes.items())
-        triples = sum((len(e) + 1) * (len(e) + 2) // 2 for e in prev.values())
         if count != triples:
             return CheckResult(
                 name,
@@ -200,18 +199,18 @@ def check_bijection(max_n: int) -> CheckResult:
                 f"{count} (omega, i) pairs but {triples} (alpha, i, k) triples at n={n}",
             )
         pairs += count
-        prev = {}
+        triples = sum(len(omegas) * comb(len(ends) + 2, 2) for ends, omegas in classes.items())
+        prev = set()
         if n < max_n:
-            for ends, omegas in classes.items():
-                prev.update(dict.fromkeys(omegas, ends))
+            prev.update(*classes.values())
     return _passed(name, pairs)
 
 
-def _block_round_trips(omegas, start: int, end: int, i: int, k: int, prev: dict) -> bool:
+def _block_round_trips(omegas, start: int, end: int, i: int, k: int, n: int, prev: set) -> bool:
     """True iff every lane of the block deletes and re-inserts cleanly.
 
-    ``omegas`` is the block's masks in native 8-byte words; lane 0 has
-    component i of k at (start, end).
+    ``omegas`` is the block's masks of level n in native 8-byte words;
+    lane 0 has component i of k at (start, end).
     """
     size, order = len(omegas), sys.byteorder
     lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (size // 8), "little")
@@ -221,34 +220,32 @@ def _block_round_trips(omegas, start: int, end: int, i: int, k: int, prev: dict)
         images = memoryview(alpha.to_bytes(size, order)).cast("Q")
     except OverflowError:  # a lane spilled over
         return False
-    alpha_ends = prev.get(images[0])
+    if not prev.issuperset(images):
+        return False
+    alpha_ends = rlseq._scan(rlseq._word(images[0], 2 * n - 2))[1]
     return not (
-        alpha_ends is None
-        or len(alpha_ends) < k - 1
-        or not all(map(prev.__contains__, images))
+        len(alpha_ends) < k - 1
         or (alpha ^ packed) & ((1 << start) - 1) * lanes
         or (alpha << 2 ^ packed) & ((1 << 64) - (1 << end)) * lanes
         or rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k), lanes) != packed
     )
 
 
-def _first_pair_fault(n: int, prev: dict) -> str | None:
+def _first_pair_fault(n: int, prev: set) -> str | None:
     """The detail of level n's first failing (omega, i) pair, in the kernel's order."""
     for omega, ends in _kernel.dyck_paths(n):
         k = len(ends)
         for i in range(1, k + 1):
             alpha = rlseq._delete(omega, *rlseq._bounds(ends, i))
-            alpha_ends = prev.get(alpha)
+            alpha_ends = rlseq._scan(rlseq._word(alpha, 2 * n - 2))[1] if alpha in prev else None
             if alpha_ends is None or len(alpha_ends) < k - 1:
                 return f"f_{i} image mismatch on (n={n}, k={k})"
             back = rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k))
             if back != omega:
-                spelled = rlseq._word(back, 2 * n)
-                ok = (
-                    not back >> 2 * n
-                    and rlseq.is_balanced_legal(spelled)
-                    and len(rlseq.components(spelled)) == k
-                )
+                try:
+                    ok = not back >> 2 * n and len(rlseq._scan(rlseq._word(back, 2 * n))[1]) == k
+                except rlseq.IllegalSequenceError:
+                    ok = False
                 fault = "round trip" if ok else "insert postcondition"
                 return f"{fault} fails at {rlseq._word(alpha, 2 * n - 2)}, i={i}, k={k}"
     return None
@@ -340,7 +337,7 @@ def run_all(max_n: int, max_delta: int, enum_cap: int) -> list[CheckResult]:
     _check_lane_room(min(max_n, enum_cap))
     return [
         check_method_agreement(max_n, max_delta),
-        check_s_table(max_n, enum_cap),
+        check_s_table(min(max_n, enum_cap)),
         check_bijection(min(max_n, enum_cap)),
         check_borel_consistency(max(max_n, 30)),
         check_central_binomial(max_n),

@@ -398,6 +398,24 @@ def test_a_fault_in_one_lane_is_reported_as_per_pair(
     assert verify.check_bijection(6) == _reference_check(6) == expected
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_check_scans_the_ends_of_an_image_from_its_word(monkeypatch, n):
+    # the scanner loses the last end of every word of level n - 1, so the
+    # first image of level n, R^(n-1) L^(n-1), is wrapped as if it had no
+    # component and gives a path of two components for k = 1
+    scan = rlseq._scan
+
+    def short(word):
+        mask, ends = scan(word)
+        return mask, ends[:-1] if len(word) == 2 * n - 2 else ends
+
+    monkeypatch.setattr(rlseq, "_scan", short)
+    alpha = "R" * (n - 1) + "L" * (n - 1)
+    detail = f"insert postcondition fails at {alpha}, i=1, k=1"
+    result = verify.check_bijection(6)
+    assert result == verify.CheckResult("deletion/insertion bijection", False, detail)
+
+
 def _lane_zero_only(mask, start, end, lanes=1):
     # every lane but 0 is shifted as if unmasked, so a block of two or more
     # paths fails while each single word is deleted right

@@ -306,7 +306,7 @@ def test_verify_s_table_check_catches_a_wrong_recurrence_entry(monkeypatch):
         return tuple(map(tuple, rows))
 
     monkeypatch.setattr(rlseq, "s_table_recurrence", one_wrong_entry)
-    result = verify.check_s_table(6, 6)
+    result = verify.check_s_table(6)
     assert not result.passed
     assert result.detail.startswith("(n=4, k=2): ")
     assert "recurrence=6" in result.detail
@@ -314,6 +314,6 @@ def test_verify_s_table_check_catches_a_wrong_recurrence_entry(monkeypatch):
 
 def test_verify_s_table_check_catches_a_wrong_row_sum(monkeypatch):
     monkeypatch.setattr(verify, "catalan_number", lambda n: catalan_number(n) + (n == 5))
-    result = verify.check_s_table(6, 6)
+    result = verify.check_s_table(6)
     assert not result.passed
     assert result.detail == "row 5 sums to 42, not Catalan(5)"
