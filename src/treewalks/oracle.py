@@ -14,14 +14,15 @@ vertices at depth d.  The DP therefore runs n steps, not 2n, on integers
 of half the bit length (the symmetric-walk view of Kesten, Trans. AMS
 92, 1959, and McKay, Linear Algebra Appl. 40, 1981).  The return
 profile runs the same n steps with each a_d a polynomial in a return
-marker x, packed into one integer with a B-bit slot per power of x,
-B = n (2 + delta.bit_length()); it joins the halves as
-a_0(x)^2 (n even) + x sum_(d>=1) N_d a_d(x)^2.  Every coefficient is at
-most 4^n delta^n < 2^B, so no slot carries.
+marker x, packed into B-bit slots.  That halving readout serves one n;
+``dp_walk_counts`` and ``dp_return_profiles`` read the root after each
+even step of one 2N-step run of the same loop, ``_steps``, for every n <= N.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import islice
 from operator import add
 
 
@@ -30,11 +31,12 @@ def _check(delta: int) -> None:
         raise ValueError(f"delta must be >= 1, got {delta}")
 
 
-def _packed_walks(n: int, delta: int, bits: int) -> int:
-    """(root >> bits) + away after n steps, a_d(x) packed in ``bits``-bit slots.
+def _steps(delta: int, bits: int, total: int, limit: int | None = None) -> Iterator[list[int]]:
+    """The a_d(x), packed in ``bits``-bit slots, after each of ``total`` steps.
 
-    root = a_0(x)^2 (0 for odd n) and away = sum_(d>=1) N_d a_d(x)^2;
-    with ``bits = 0`` the return marker x is 1: the plain count.
+    With ``limit`` >= total, a depth above limit - step, which cannot get
+    back to the root by step ``limit``, is dropped; a kept depth d stays
+    exact, since d +- 1 were kept one step before.
     """
     # counts[i] = a_d, the walks of `step` steps from the root to one
     # fixed vertex at depth d = 2i + step % 2; no other depth is reached.
@@ -44,9 +46,23 @@ def _packed_walks(n: int, delta: int, bits: int) -> int:
     # root is a return, so x shifts it up one slot.
     scale = (delta - 1).__mul__
     counts = [1]
-    for step in range(1, n + 1):
+    for step in range(1, total + 1):
         up = [*map(add, counts, map(scale, counts[1:])), counts[-1]]
         counts = [delta * counts[0] << bits, *up] if step % 2 == 0 else up
+        if limit is not None:
+            del counts[(limit - step - step % 2) // 2 + 1 :]
+        yield counts
+
+
+def _packed_walks(n: int, delta: int, bits: int) -> int:
+    """(root >> bits) + away after n steps, a_d(x) packed in ``bits``-bit slots.
+
+    root = a_0(x)^2 (0 for odd n) and away = sum_(d>=1) N_d a_d(x)^2;
+    with ``bits = 0`` the return marker x is 1: the plain count.
+    """
+    counts = [1]
+    for counts in _steps(delta, bits, n):
+        pass
     # weight each depth by N_d; N_(d+2) = N_d (delta-1)^2 for d >= 1
     two_down = (delta - 1) ** 2
     if n % 2:
@@ -100,10 +116,34 @@ def dp_return_profile(n: int, delta: int) -> list[int]:
     bits = n * (2 + delta.bit_length())
     # a walk into the root has returned at least once, so root's slot 0
     # is empty; slot k-1 of `packed` is the coefficient of x^k in P
-    packed = _packed_walks(n, delta, bits)
-    mask = (1 << bits) - 1
-    profile = []
-    for _ in range(n):
-        profile.append(packed & mask)
-        packed >>= bits
-    return profile
+    packed, mask = _packed_walks(n, delta, bits), (1 << bits) - 1
+    return [packed >> bits * k & mask for k in range(n)]
+
+
+def _even_roots(N: int, delta: int, bits: int) -> list[int]:
+    """a_0(x) after steps 2, 4, ..., 2N of one run limited to 2N steps."""
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    _check(delta)
+    return [counts[0] for counts in islice(_steps(delta, bits, 2 * N, 2 * N), 1, None, 2)]
+
+
+def dp_walk_counts(N: int, delta: int) -> list[int]:
+    """Closed walks of length 2n for n = 0..N: a_0 after each even step of one run."""
+    return [1, *_even_roots(N, delta, 0)]
+
+
+def dp_return_profiles(N: int, delta: int) -> list[list[int]]:
+    """``dp_return_profile(n, delta)`` for n = 1..N, entry n-1, from one DP run.
+
+    ``dp_walk_counts``'s run with B-bit slots, B = N (2 + delta.bit_length()):
+    after step 2n, slot k of a_0(x) counts the closed walks of length 2n
+    with k returns, the last step included.  No slot carries.  A kept walk
+    of s steps to depth d <= 2N - s extends in one fixed way to a closed
+    walk of length 2N (back to the root, then out and back to one fixed
+    neighbour), distinct walks to distinct walks.  So every coefficient of
+    every kept a_d is at most W(2N, delta) <= 4^N delta^N < 2^B.
+    """
+    bits = N * (2 + delta.bit_length())
+    roots, mask = _even_roots(N, delta, bits), (1 << bits) - 1
+    return [[root >> bits * k & mask for k in range(1, n + 1)] for n, root in enumerate(roots, 1)]

@@ -15,7 +15,7 @@ from math import comb
 
 from treewalks import _kernel, rlseq
 from treewalks import fixtures as fx
-from treewalks.oracle import dp_return_profile, dp_walk_count
+from treewalks.oracle import dp_return_profile, dp_return_profiles, dp_walk_count, dp_walk_counts
 from treewalks.series import gf_walk_counts
 from treewalks.triangles import (
     borel_entry_explicit,
@@ -28,6 +28,7 @@ from treewalks.triangles import (
 )
 from treewalks.walks import (
     ROUTES,
+    components_walk_counts,
     first_return_count,
     second_return_count,
     walks_polynomial,
@@ -50,13 +51,15 @@ def _passed(name: str, cases: int) -> CheckResult:
 def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
     """components = catalan = borel = DP oracle = gf, exactly.
 
-    The gf coefficients must also satisfy the generating function's
+    components, the oracle and gf are each one whole series per delta,
+    O(max_n^2) each, and the gf coefficients must also satisfy the
     quadratic (1 - delta^2 u) f^2 + (delta - 2) f - (delta - 1) = 0,
-    u = t^2, in every degree up to max_n, so gf is one whole series per
-    delta here, not its ``walks.ROUTES`` entry.
+    u = t^2, in every degree up to max_n.  catalan and borel, O(n) per n,
+    are their ``walks.ROUTES`` entries at every n; at the top two n, one
+    of each parity, so are the other three.
     """
     name = "five-method agreement"
-    routes = {m: route for m, route in ROUTES.items() if m != "gf"}
+    catalan, borel = ROUTES["catalan"], ROUTES["borel"]
     for delta in range(1, max_delta + 1):
         gf = gf_walk_counts(delta, max_n)
         bad = _gf_quadratic_fault(gf, delta)
@@ -67,9 +70,13 @@ def check_method_agreement(max_n: int, max_delta: int) -> CheckResult:
                 False,
                 f"gf quadratic identity fails at (u^{d}, delta={delta}): residual {residual}",
             )
+        comp, dp = components_walk_counts(delta, max_n), dp_walk_counts(max_n, delta)
         for n in range(1, max_n + 1):
-            values = {m: route(n, delta) for m, route in routes.items()}
-            values["gf"] = gf[n]
+            values = {"components": comp[n], "catalan": catalan(n, delta)}
+            values.update(borel=borel(n, delta), oracle=dp[n], gf=gf[n])
+            if n >= max_n - 1:  # catalan and borel above are ROUTES entries already
+                for m in ("components", "oracle", "gf"):
+                    values[f"{m} at n alone"] = ROUTES[m](n, delta)
             if len(set(values.values())) != 1:
                 return CheckResult(
                     name, False, f"disagreement at (n={n}, delta={delta}): {values}"
@@ -281,13 +288,18 @@ def check_central_binomial(max_n: int) -> CheckResult:
 
 
 def check_return_corollaries(max_n: int, max_delta: int) -> CheckResult:
-    """First/second-return closed forms against the return-profile DP."""
+    """First/second/k-return closed forms against the return-profile DP.
+
+    One ``dp_return_profiles`` run per delta gives every n's profile; it
+    must sum to ``dp_walk_count``, and equal ``dp_return_profile`` at the top two n.
+    """
     name = "first/second return corollaries"
     for delta in range(1, max_delta + 1):
-        for n in range(1, max_n + 1):
-            profile = dp_return_profile(n, delta)
+        for n, profile in enumerate(dp_return_profiles(max_n, delta), 1):
             if sum(profile) != dp_walk_count(n, delta):
                 return CheckResult(name, False, f"profile sum off at (n={n}, delta={delta})")
+            if n >= max_n - 1 and profile != dp_return_profile(n, delta):
+                return CheckResult(name, False, f"profile sweep off at (n={n}, delta={delta})")
             if first_return_count(n, delta) != profile[0]:
                 return CheckResult(
                     name, False, f"first-return mismatch at (n={n}, delta={delta})"

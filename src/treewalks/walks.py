@@ -39,18 +39,27 @@ def walks_via_components(n: int, delta: int) -> int:
     """Closed walks of length 2n via the component-count recurrence.
 
     Weights row n of the S recurrence, S(n, k) = sum_{j>=k-1} S(n-1, j),
-    holding one row at a time.  The weighting is homogeneous Horner,
-    h <- h delta + S(n, k) (delta-1)^(n-k) for k = n down to 1, with the
-    power advanced by one product per term, so W = delta h.
+    holding one row at a time.
     """
     _check_domain(n, delta)
     for row in _s_rows(n):
         pass
-    h, power = 0, 1  # power = (delta-1)^(n-k)
-    for k in range(n, 0, -1):
-        h = h * delta + row[k] * power
+    return _weigh(row, delta)
+
+
+def components_walk_counts(delta: int, N: int) -> list[int]:
+    """``walks_via_components(n, delta)`` for n = 0..N, entry n, from one run of the S rows."""
+    _check_domain(N, delta, min_n=0)
+    return [_weigh(row, delta) for row in _s_rows(N)]
+
+
+def _weigh(row: tuple[int, ...], delta: int) -> int:
+    """sum_k S(n, k) delta^k (delta-1)^(n-k) over row n of the S table, by homogeneous Horner."""
+    h, power = 0, 1  # h <- h delta + S(n, k) power for k = n..0; power = (delta-1)^(n-k)
+    for s in reversed(row):
+        h = h * delta + s * power
         power *= delta - 1
-    return h * delta
+    return h
 
 
 def walks_via_catalan(n: int, delta: int) -> int:

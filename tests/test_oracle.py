@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treewalks import oracle
-from treewalks.oracle import dp_return_profile, dp_walk_count
+from treewalks.oracle import dp_return_profile, dp_return_profiles, dp_walk_count, dp_walk_counts
 from treewalks.walks import walks_with_k_returns
 
 
@@ -52,6 +52,39 @@ def test_half_length_dp_matches_two_n_step_dp(delta):
 @pytest.mark.parametrize("delta", [3, 20])
 def test_half_length_dp_matches_two_n_step_dp_at_large_n(n, delta):
     assert dp_walk_count(n, delta) == _two_n_step_dp(2 * n, delta)
+
+
+@pytest.mark.parametrize("delta", range(1, 7))
+def test_one_run_readouts_match_the_per_n_dps(delta):
+    counts, profiles = dp_walk_counts(60, delta), dp_return_profiles(60, delta)
+    assert len(counts) == 61 and len(profiles) == 60
+    for n in range(61):
+        assert counts[n] == dp_walk_count(n, delta) == _two_n_step_dp(2 * n, delta)
+    for n in range(1, 61):
+        assert profiles[n - 1] == dp_return_profile(n, delta)
+
+
+def test_one_run_readouts_at_n0():
+    assert dp_walk_counts(0, 3) == [1]
+    assert dp_return_profiles(0, 3) == []
+    with pytest.raises(ValueError):
+        dp_walk_counts(-1, 3)
+    with pytest.raises(ValueError):
+        dp_return_profiles(3, 0)
+
+
+@pytest.mark.parametrize("bits", [0, 9])
+@pytest.mark.parametrize("delta", [1, 2, 3, 7])
+def test_limited_steps_hold_only_depths_that_can_return(delta, bits):
+    total = 24
+    full = list(oracle._steps(delta, bits, total))
+    for limit in (total, total + 1, total + 6):
+        for step, counts in enumerate(oracle._steps(delta, bits, total, limit), 1):
+            # the deepest kept depth has the step's parity and can still
+            # reach the root by step `limit`; no shallower one is dropped
+            reach = min(step, limit - step)
+            assert 2 * (len(counts) - 1) + step % 2 == reach - (reach - step) % 2
+            assert counts == full[step - 1][: len(counts)]
 
 
 def test_return_profile_examples():

@@ -12,9 +12,14 @@ from hypothesis import strategies as st
 
 import treewalks
 from treewalks import cli, exact, triangles, verify, walks
-from treewalks.oracle import dp_walk_count
+from treewalks.oracle import dp_return_profiles, dp_walk_count, dp_walk_counts
 from treewalks.series import gf_walk_counts
-from treewalks.walks import walks_via_borel, walks_via_catalan, walks_via_components
+from treewalks.walks import (
+    components_walk_counts,
+    walks_via_borel,
+    walks_via_catalan,
+    walks_via_components,
+)
 
 PACKAGE_DIR = Path(treewalks.__file__).parent
 
@@ -85,6 +90,47 @@ def test_verify_agreement_check_catches_a_disagreeing_route(monkeypatch):
     assert f"'borel': {walks_via_catalan(6, 3) + 1}" in result.detail
 
 
+def _components_off_at_6_3(delta, N):
+    counts = components_walk_counts(delta, N)
+    if delta == 3:
+        counts[6] += 1
+    return counts
+
+
+def _dp_off_at_6_3(N, delta):
+    counts = dp_walk_counts(N, delta)
+    if delta == 3:
+        counts[6] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "series, wrong",
+    [("components_walk_counts", _components_off_at_6_3), ("dp_walk_counts", _dp_off_at_6_3)],
+)
+def test_verify_agreement_check_catches_a_wrong_series(monkeypatch, series, wrong):
+    monkeypatch.setattr(verify, series, wrong)
+    result = verify.check_method_agreement(8, 4)
+    assert not result.passed
+    assert result.detail.startswith("disagreement at (n=6, delta=3): ")
+
+
+# the top two n cover both parities of the oracle's halving readout
+@pytest.mark.parametrize("bad_n", [7, 8])
+@pytest.mark.parametrize("method", ["components", "gf", "oracle"])
+def test_verify_agreement_check_calls_each_series_route_at_the_top_n(monkeypatch, method, bad_n):
+    right = walks.ROUTES[method]
+
+    def wrong_at_bad_n(n, delta):
+        return right(n, delta) + (n == bad_n)
+
+    monkeypatch.setitem(walks.ROUTES, method, wrong_at_bad_n)
+    result = verify.check_method_agreement(8, 4)
+    assert not result.passed
+    assert result.detail.startswith(f"disagreement at (n={bad_n}, delta=1): ")
+    assert f"'{method} at n alone': 2" in result.detail
+
+
 def test_one_route_table_serves_the_cli_and_verify(monkeypatch, capsys):
     def wrong_at_6_3(n, delta):
         return walks_via_borel(n, delta) + ((n, delta) == (6, 3))
@@ -118,11 +164,14 @@ def _footprint(route, *args):
 def test_routes_share_only_the_checked_division_and_the_domain_check():
     n, delta = 9, 3
     footprints = {
-        "components": _footprint(walks_via_components, n, delta),
+        "components": _footprint(walks_via_components, n, delta)
+        | _footprint(components_walk_counts, delta, n),
         "catalan": _footprint(walks_via_catalan, n, delta),
         "borel": _footprint(walks_via_borel, n, delta),
         "gf": _footprint(gf_walk_counts, delta, n),
-        "oracle": _footprint(dp_walk_count, n, delta),
+        "oracle": _footprint(dp_walk_count, n, delta)
+        | _footprint(dp_walk_counts, n, delta)
+        | _footprint(dp_return_profiles, n, delta),
     }
     assert all(footprints.values())
     allowed = {exact.exact_div.__code__, walks._check_domain.__code__}

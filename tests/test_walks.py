@@ -315,3 +315,16 @@ def test_verify_return_check_catches_a_wrong_count(monkeypatch, route, detail):
     result = verify.check_return_corollaries(5, 3)
     assert not result.passed
     assert result.detail == detail
+
+
+@pytest.mark.parametrize("bad_n", [4, 5])
+def test_verify_return_check_holds_the_sweep_to_the_single_n_profile(monkeypatch, bad_n):
+    def wrong_at_bad_n(n, delta):
+        profile = dp_return_profile(n, delta)
+        profile[-1] += n == bad_n
+        return profile
+
+    monkeypatch.setattr(verify, "dp_return_profile", wrong_at_bad_n)
+    result = verify.check_return_corollaries(5, 3)
+    assert not result.passed
+    assert result.detail == f"profile sweep off at (n={bad_n}, delta=1)"
