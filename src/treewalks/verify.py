@@ -148,7 +148,7 @@ def check_bijection(max_n: int) -> CheckResult:
     i, and S(n, k) = sum_{j >= k-1} S(n-1, j) follows.
 
     The pairs of a level whose component i spans the same deletion block
-    (start, end) = (e_(i-1), e_i), as ``_kernel.dyck_paths`` gives the
+    (start, end) = (e_(i-1), e_i), as ``_kernel.dyck_classes`` gives the
     ends, are packed one path per 64-bit lane (Kronecker packing, as
     ``_kernel.component_histograms`` packs its counts), whatever their i
     and k, so one ``rlseq._delete`` call deletes the block from every lane.
@@ -166,26 +166,24 @@ def check_bijection(max_n: int) -> CheckResult:
     A block that fails any of this sends the check back over the level,
     one (omega, i) pair at a time in the kernel's order, and the first
     pair that fails is reported; if none fails, the level passes, as it
-    would pair by pair.  A level is packed at 8 bytes a path in the
-    classes of paths that share their ends, and each block is copied from
-    its classes when it is checked.  Level n - 1 is held as the set of its
-    masks and its count of triples; the ends of an image that the check
-    reads, lane 0's of a block or one pair's, are scanned from its word.
+    would pair by pair.  ``_kernel.dyck_classes`` gives a level packed at
+    8 bytes a path in the classes of paths that share their ends, and each
+    block is copied from its classes when it is checked.  Level n - 1 is
+    held as the set of its masks and its count of triples; the ends of an
+    image that the check reads, lane 0's of a block or one pair's, are
+    scanned from its word.
 
-    The count rests on the kernel yielding each path once, as
-    ``test_kernel_order_is_pinned`` holds it to for n <= 12.  A level past
+    The count rests on ``_kernel.dyck_classes`` listing each path once.
+    For n <= 12 the tests hold it to ``_kernel.dyck_paths`` grouped by
+    ends, whose order ``test_kernel_order_is_pinned`` pins.  A level past
     31 would not fit a lane and raises ValueError.
     """
-    from array import array  # here, so that importing the CLI loads nothing new
-
     _check_lane_room(max_n)
     name = "deletion/insertion bijection"
     prev, triples = {0}, 1  # level 0: the empty path and its one triple
     pairs = 0
     for n in range(1, max_n + 1):
-        classes: dict[tuple[int, ...], array] = defaultdict(lambda: array("Q"))
-        for omega, ends in _kernel.dyck_paths(n):
-            classes[tuple(ends)].append(omega)
+        classes = _kernel.dyck_classes(n)
         blocks = defaultdict(list)  # (start, end) -> the ends of its classes
         for ends in classes:
             for i in range(1, len(ends) + 1):

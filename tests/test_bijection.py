@@ -195,15 +195,41 @@ def test_verify_bijection_check_catches_a_wrong_round_trip(monkeypatch):
     assert result.detail.startswith("round trip fails at ")
 
 
+RLRLRL = 0b010101
+
+
+def _edit_level_3(monkeypatch, edit):
+    """Patch the kernel so that ``edit`` alters level 3's classes."""
+    dyck_classes = _kernel.dyck_classes
+
+    def edited(n):
+        classes = dyck_classes(n)
+        if n == 3:
+            edit(classes)
+        return classes
+
+    monkeypatch.setattr(_kernel, "dyck_classes", edited)
+
+
 def test_verify_bijection_check_catches_a_missing_path(monkeypatch):
-    # the kernel drops RLRLRL, the last path of level 3, and its three pairs
-    dyck_paths = _kernel.dyck_paths
-    monkeypatch.setattr(
-        _kernel, "dyck_paths", lambda n: list(dyck_paths(n))[: -1 if n == 3 else None]
-    )
+    # the kernel drops RLRLRL, the last path of level 3 and alone in its
+    # class, and its three pairs
+    def drop(classes):
+        assert list(classes.pop((2, 4, 6))) == [RLRLRL]
+
+    _edit_level_3(monkeypatch, drop)
     result = verify.check_bijection(4)
     assert not result.passed
     assert result.detail == "6 (omega, i) pairs but 9 (alpha, i, k) triples at n=3"
+
+
+def test_verify_bijection_check_catches_a_path_listed_twice(monkeypatch):
+    # RLRLRL's second copy round-trips as the first does, so only the
+    # count of its three pairs, taken twice, can catch it
+    _edit_level_3(monkeypatch, lambda classes: classes[(2, 4, 6)].append(RLRLRL))
+    result = verify.check_bijection(4)
+    assert not result.passed
+    assert result.detail == "12 (omega, i) pairs but 9 (alpha, i, k) triples at n=3"
 
 
 @pytest.mark.parametrize("max_n, pairs", [(8, 4_861), (10, 58_785)])
@@ -480,6 +506,6 @@ def test_levels_past_a_lane_are_refused_before_any_check(monkeypatch):
         with pytest.raises(ValueError, match="--enum-cap"):
             refused()
     # level 31 is taken: with no paths it fails at level 1, not up front
-    monkeypatch.setattr(_kernel, "dyck_paths", lambda n: iter(()))
+    monkeypatch.setattr(_kernel, "dyck_classes", lambda n: {})
     detail = "0 (omega, i) pairs but 1 (alpha, i, k) triples at n=1"
     assert verify.check_bijection(31).detail == detail

@@ -154,6 +154,21 @@ def test_kernel_order_is_pinned():
     assert digest.hexdigest() == KERNEL_ORDER_SHA256
 
 
+def test_kernel_classes_are_its_paths_grouped_by_ends():
+    # the bijection check's count rests on each path being listed once, and
+    # the pinned order above fixes dyck_paths, so each class is held to it
+    for n in range(13):
+        grouped = {}
+        for mask, ends in _kernel.dyck_paths(n):
+            grouped.setdefault(tuple(ends), []).append(mask)
+        classes = _kernel.dyck_classes(n)
+        assert [(ends, masks.typecode, list(masks)) for ends, masks in classes.items()] == [
+            (ends, "Q", masks) for ends, masks in grouped.items()
+        ], n
+        assert sum(map(len, classes.values())) == catalan_number(n)
+        assert max(max(masks) for masks in classes.values()) < 1 << 2 * n
+
+
 def test_kernel_ends_match_component_scan():
     for n in range(13):
         for mask, ends in _kernel.dyck_paths(n):
@@ -238,6 +253,8 @@ def test_negative_n_rejected():
         enumerate_sequences(-1)
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         _kernel.component_histograms(-1)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        _kernel.dyck_classes(-1)
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         s_table_recurrence(-1)
 

@@ -21,7 +21,9 @@ import treewalks
 from treewalks import verify
 from treewalks.walks import walks_polynomial
 
-HEAVY = ("ast", "dataclasses", "dis", "inspect", "tokenize", "typing")
+# array too: only the bijection check's _kernel.dyck_classes packs paths
+# into arrays, and it imports array when it runs
+HEAVY = ("array", "ast", "dataclasses", "dis", "inspect", "tokenize", "typing")
 
 _CHILD = """
 import sys
