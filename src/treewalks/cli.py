@@ -137,7 +137,7 @@ def _cmd_stable(args: argparse.Namespace) -> int:
         )
         rows = checked_rows(closed, "s")
     else:
-        rows = checked_rows(rlseq._s_rows(args.n), "s")
+        rows = checked_rows((tuple(reversed(row)) for row in rlseq._s_rows(args.n)), "s")
     # rows m >= 1 are printed as S(m, 1..m), without the zero S(m, 0)
     printed = (row[1:] if m else row for m, row in enumerate(rows))
     sys.stdout.writelines(format_rows(printed, args.format))

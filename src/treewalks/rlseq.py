@@ -149,19 +149,18 @@ def s_table_enumerated(n: int, cap: int = ENUM_CAP_DEFAULT) -> tuple[tuple[int, 
     return tuple(checked_rows(rows, "s"))
 
 
-def _s_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """Rows S(m, 0..m) for m = 0..n, from S(m, k) = sum_{j=k-1}^{m-1} S(m-1, j).
+def _s_rows(n: int) -> Iterator[list[int]]:
+    """Rows S(m, m..0), highest k first, for m = 0..n, from S(m, k) = sum_{j=k-1}^{m-1} S(m-1, j).
 
-    Row m is 0 (no shape of length 2m >= 2 has zero components) followed
-    by the suffix sums of row m-1, so each row costs O(m) additions and
-    only the last one is held.
+    Read highest k first, S(m, m..1) are the running sums of row m-1, and
+    S(m, 0) = 0 (no shape of length 2m >= 2 has zero components) ends the
+    row, so each row is one pass of O(m) additions and only the last one
+    is held.
     """
-    row: tuple[int, ...] = (1,)
+    row = [1]
     yield row
     for _ in range(n):
-        suffix = list(accumulate(reversed(row)))
-        suffix.reverse()
-        row = (0, *suffix)
+        row = [*accumulate(row), 0]
         yield row
 
 
@@ -169,7 +168,7 @@ def s_table_recurrence(n: int) -> tuple[tuple[int, ...], ...]:
     """S-table from S(n, k) = sum_{j=k-1}^{n-1} S(n-1, j), base S(0, 0) = 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return tuple(checked_rows(_s_rows(n), "s"))
+    return tuple(checked_rows((tuple(reversed(row)) for row in _s_rows(n)), "s"))
 
 
 def s_closed_form(n: int, k: int) -> int:

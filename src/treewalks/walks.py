@@ -53,10 +53,10 @@ def components_walk_counts(delta: int, N: int) -> list[int]:
     return [_weigh(row, delta) for row in _s_rows(N)]
 
 
-def _weigh(row: tuple[int, ...], delta: int) -> int:
-    """sum_k S(n, k) delta^k (delta-1)^(n-k) over row n of the S table, by homogeneous Horner."""
+def _weigh(row: list[int], delta: int) -> int:
+    """sum_k S(n, k) delta^k (delta-1)^(n-k) over row n of ``_s_rows``, by homogeneous Horner."""
     h, power = 0, 1  # h <- h delta + S(n, k) power for k = n..0; power = (delta-1)^(n-k)
-    for s in reversed(row):
+    for s in row:
         h = h * delta + s * power
         power *= delta - 1
     return h

@@ -381,7 +381,7 @@ def test_streamed_table_output_is_pinned(capsys, command, fmt):
         (cli, "borel_rows", ["triangle", "borel", "--rows", "3"], [(0,)], ""),
         (rlseq, "_s_rows", ["stable", "--n", "3"], [(0,)], ""),
         (cli, "catalan_rows", ["triangle", "catalan", "--rows", "3"], [(1,), (1, 0)], "1\n"),
-        (rlseq, "_s_rows", ["stable", "--n", "3"], [(1,), (0, 1), (0, 0, 1)], "1\n1\n"),
+        (rlseq, "_s_rows", ["stable", "--n", "3"], [(1,), (1, 0), (1, 0, 0)], "1\n1\n"),
     ],
     ids=["catalan-row-0", "borel-row-0", "stable-row-0", "catalan-row-1", "stable-row-2"],
 )

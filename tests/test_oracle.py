@@ -87,6 +87,60 @@ def test_limited_steps_hold_only_depths_that_can_return(delta, bits):
             assert counts == full[step - 1][: len(counts)]
 
 
+def _plain_steps(delta, bits, total):
+    """The unscaled a_d(x), packed in bits-bit slots, depths step % 2, step % 2 + 2, ..."""
+    a = {0: 1}
+    for step in range(1, total + 1):
+        depths = range(step % 2, step + 1, 2)
+        a = {
+            d: delta * a[1] << bits if d == 0 else a.get(d - 1, 0) + (delta - 1) * a.get(d + 1, 0)
+            for d in depths
+        }
+        yield [a[d] for d in depths]
+
+
+@pytest.mark.parametrize("bits", [0, 9])
+@pytest.mark.parametrize("delta", [2, 3, 7, 20])
+def test_steps_carry_the_plain_dp_rescaled(delta, bits):
+    # after step s of a run of `total` steps, depth d holds a_d c^((d - s)/2 + K)
+    c = delta - 1
+    for total in range(25):
+        K = (total + 1) // 2
+        plain = list(_plain_steps(delta, bits, total))
+        for limit in (None, total, total + 3):
+            steps = oracle._steps(delta, bits, total, limit)
+            for step, (counts, a) in enumerate(zip(steps, plain, strict=True), 1):
+                want = [a_d * c ** ((2 * i + step % 2 - step) // 2 + K) for i, a_d in enumerate(a)]
+                assert counts == want[: len(counts)]
+                assert limit is not None or len(counts) == len(want)
+
+
+@pytest.mark.parametrize("delta", [2**20, 2**20 + 1, 10**6])
+def test_readouts_at_huge_degree(delta):
+    profiles = dp_return_profiles(8, delta)
+    assert dp_walk_counts(8, delta) == [_two_n_step_dp(2 * n, delta) for n in range(9)]
+    for n in range(1, 9):
+        full = _full_width_return_profile(n, delta)
+        assert dp_return_profile(n, delta) == profiles[n - 1] == full
+        assert dp_walk_count(n, delta) == _two_n_step_dp(2 * n, delta) == sum(full)
+
+
+def test_a_value_above_the_top_slot_raises(monkeypatch):
+    # 2-bit slots cannot hold the profile [6, 9] of n = 2 at delta = 3
+    monkeypatch.setattr(oracle, "_slot_bits", lambda n, delta: 2)
+    with pytest.raises(ArithmeticError, match="top slot"):
+        dp_return_profile(3, 3)
+    with pytest.raises(ArithmeticError, match="top slot"):
+        dp_return_profiles(3, 3)
+
+
+def test_a_non_exact_division_raises():
+    # oracle.py imports nothing from the package, so it checks its own divisions
+    with pytest.raises(ArithmeticError):
+        oracle._exact(7, 2)
+    assert oracle._exact(-12, 4) == -3
+
+
 def test_return_profile_examples():
     assert dp_return_profile(2, 3) == [6, 9]
     # computed by enumeration: shapes of semi-length 3 on the binary tree
