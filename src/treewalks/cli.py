@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: triangle, walks, poly, stable, verify.  Exit codes are
-fixed: 0 success, 1 a failed ``verify`` check or a ``walks --method all``
-disagreement, 2 usage/domain error, 141 the reader closed stdout.  All
-output is deterministic; JSON integers are decimal strings.
+Subcommands: triangle, walks, poly, stable, verify.  Exit codes are fixed:
+0 success, 1 a failed ``verify`` check or a ``walks --method all``
+disagreement, 2 usage/domain error, 3 an exactness fault, 141 the reader
+closed stdout.  Output is deterministic; JSON integers are decimal strings.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from treewalks.walks import ROUTES, walks_polynomial
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+EXIT_EXACTNESS = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 
 #: The subcommands, in the order ``--help`` lists them.
@@ -240,6 +241,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ZeroDivisionError, OverflowError, FloatingPointError):
+        raise  # bugs, not a failed identity
+    except ArithmeticError as exc:  # ExactnessError, or the oracle's own
+        print(f"error: exactness fault: {exc}", file=sys.stderr)
+        return EXIT_EXACTNESS
     except BrokenPipeError:
         # the reader closed the pipe: send what is still buffered, and the
         # interpreter's final flush, to devnull so that neither can raise

@@ -17,5 +17,7 @@ def exact_div(numerator: int, divisor: int) -> int:
     """numerator / divisor, raising ExactnessError unless it is an integer."""
     q, r = divmod(numerator, divisor)
     if r:
-        raise ExactnessError(f"non-exact division {numerator}/{divisor}: remainder {r}")
+        # bit lengths, not digits: an operand may pass Python's int -> str limit
+        sizes = numerator.bit_length(), divisor.bit_length()
+        raise ExactnessError("non-exact division of a %d-bit by a %d-bit integer" % sizes)
     return q

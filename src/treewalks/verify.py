@@ -37,8 +37,7 @@ from treewalks.walks import (
 )
 
 
-class CheckResult(namedtuple("CheckResult", "name passed detail cases", defaults=("", 0))):
-    __slots__ = ()
+CheckResult = namedtuple("CheckResult", "name passed detail cases", defaults=("", 0))
 
 
 def _passed(name: str, cases: int) -> CheckResult:
@@ -163,15 +162,16 @@ def check_bijection(max_n: int) -> CheckResult:
     lane 0.  One ``rlseq._insert`` call then inserts on every lane, and
     must give the block back.
 
-    A block that fails any of this sends the check back over the level,
-    one (omega, i) pair at a time in the kernel's order, and the first
-    pair that fails is reported; if none fails, the level passes, as it
-    would pair by pair.  ``_kernel.dyck_classes`` gives a level packed at
-    8 bytes a path in the classes of paths that share their ends, and each
-    block is copied from its classes when it is checked.  Level n - 1 is
-    held as the set of its masks and its count of triples; the ends of an
-    image that the check reads, lane 0's of a block or one pair's, are
-    scanned from its word.
+    A block that fails any of this is judged again one lane at a time,
+    each with its own i and k, and the first lane that fails alone is
+    reported; if none does, the check goes on, as it would pair by pair.
+    Of two or more failing pairs, the one reported is the first in the
+    check's order of blocks and lanes, not in the kernel's order of paths.
+    ``_kernel.dyck_classes`` gives a level packed at 8 bytes a path in the
+    classes of paths that share their ends, and each block is copied from
+    its classes when it is checked.  Level n - 1 is held as the set of its
+    masks and its count of triples; the ends of an image that the check
+    reads, lane 0's of a block or one lane's, are scanned from its word.
 
     The count rests on ``_kernel.dyck_classes`` listing each path once.
     For n <= 12 the tests hold it to ``_kernel.dyck_paths`` grouped by
@@ -190,19 +190,18 @@ def check_bijection(max_n: int) -> CheckResult:
                 blocks[rlseq._bounds(ends, i)].append(ends)
         for (start, end), members in blocks.items():
             block = b"".join(map(classes.__getitem__, members))
-            i, k = members[0].index(end) + 1, len(members[0])
-            if not _block_round_trips(block, start, end, i, k, n, prev):
-                fault = _first_pair_fault(n, prev)
-                if fault is not None:
-                    return CheckResult(name, False, fault)
-                break
+            if _block_fault(block, start, end, members[0], n, prev) is None:
+                continue
+            for ends in members:
+                for omega in classes[ends]:
+                    lane = omega.to_bytes(8, sys.byteorder)
+                    fault = _block_fault(lane, start, end, ends, n, prev)
+                    if fault is not None:
+                        return CheckResult(name, False, fault)
         count = sum(len(ends) * len(omegas) for ends, omegas in classes.items())
         if count != triples:
-            return CheckResult(
-                name,
-                False,
-                f"{count} (omega, i) pairs but {triples} (alpha, i, k) triples at n={n}",
-            )
+            detail = f"{count} (omega, i) pairs but {triples} (alpha, i, k) triples at n={n}"
+            return CheckResult(name, False, detail)
         pairs += count
         triples = sum(len(omegas) * comb(len(ends) + 2, 2) for ends, omegas in classes.items())
         prev = set()
@@ -211,12 +210,15 @@ def check_bijection(max_n: int) -> CheckResult:
     return _passed(name, pairs)
 
 
-def _block_round_trips(omegas, start: int, end: int, i: int, k: int, n: int, prev: set) -> bool:
-    """True iff every lane of the block deletes and re-inserts cleanly.
+def _block_fault(omegas, start: int, end: int, ends: tuple, n: int, prev: set) -> str | None:
+    """None iff every lane of the block deletes and re-inserts cleanly, else a fault.
 
     ``omegas`` is the block's masks of level n in native 8-byte words;
-    lane 0 has component i of k at (start, end).
+    lane 0 has these ends, and component i of k at (start, end).  The
+    fault is worded with lane 0's i, k and image, so a block of one lane
+    names its own (omega, i) pair.
     """
+    i, k = ends.index(end) + 1, len(ends)
     size, order = len(omegas), sys.byteorder
     lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (size // 8), "little")
     packed = int.from_bytes(omegas, order)
@@ -224,36 +226,25 @@ def _block_round_trips(omegas, start: int, end: int, i: int, k: int, n: int, pre
     try:
         images = memoryview(alpha.to_bytes(size, order)).cast("Q")
     except OverflowError:  # a lane spilled over
-        return False
-    if not prev.issuperset(images):
-        return False
-    alpha_ends = rlseq._scan(rlseq._word(images[0], 2 * n - 2))[1]
-    return not (
-        len(alpha_ends) < k - 1
-        or (alpha ^ packed) & ((1 << start) - 1) * lanes
-        or (alpha << 2 ^ packed) & ((1 << 64) - (1 << end)) * lanes
-        or rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k), lanes) != packed
-    )
-
-
-def _first_pair_fault(n: int, prev: set) -> str | None:
-    """The detail of level n's first failing (omega, i) pair, in the kernel's order."""
-    for omega, ends in _kernel.dyck_paths(n):
-        k = len(ends)
-        for i in range(1, k + 1):
-            alpha = rlseq._delete(omega, *rlseq._bounds(ends, i))
-            alpha_ends = rlseq._scan(rlseq._word(alpha, 2 * n - 2))[1] if alpha in prev else None
-            if alpha_ends is None or len(alpha_ends) < k - 1:
-                return f"f_{i} image mismatch on (n={n}, k={k})"
-            back = rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k))
-            if back != omega:
+        images = None
+    if images is not None and prev.issuperset(images):
+        word = rlseq._word(images[0], 2 * n - 2)
+        alpha_ends = rlseq._scan(word)[1]
+        if len(alpha_ends) >= k - 1:
+            back = rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k), lanes)
+            if back != packed:
                 try:
                     ok = not back >> 2 * n and len(rlseq._scan(rlseq._word(back, 2 * n))[1]) == k
                 except rlseq.IllegalSequenceError:
                     ok = False
                 fault = "round trip" if ok else "insert postcondition"
-                return f"{fault} fails at {rlseq._word(alpha, 2 * n - 2)}, i={i}, k={k}"
-    return None
+                return f"{fault} fails at {word}, i={i}, k={k}"
+            # images agree with omega off the block: a round trip implies it
+            # unless both maps are wrong
+            below, above = ((1 << start) - 1) * lanes, ((1 << 64) - (1 << end)) * lanes
+            if not ((alpha ^ packed) & below or (alpha << 2 ^ packed) & above):
+                return None
+    return f"f_{i} image mismatch on (n={n}, k={k})"
 
 
 def check_borel_consistency(max_n: int) -> CheckResult:

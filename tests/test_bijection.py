@@ -509,3 +509,38 @@ def test_levels_past_a_lane_are_refused_before_any_check(monkeypatch):
     monkeypatch.setattr(_kernel, "dyck_classes", lambda n: {})
     detail = "0 (omega, i) pairs but 1 (alpha, i, k) triples at n=1"
     assert verify.check_bijection(31).detail == detail
+
+
+RRLRLRLL, RRRLLLRL = 0b00101011, 0b01000111
+
+
+def test_of_two_failing_pairs_the_first_in_block_order_is_reported(monkeypatch):
+    # both images are RRRRLL, no path; RRLRLRLL's pair (i = 1, k = 1) is in
+    # block (0, 8), which the check builds before block (0, 6) of
+    # RRRLLLRL's pair (i = 1, k = 2), though the kernel lists it later
+    masks = [mask for mask, _ in _kernel.dyck_paths(4)]
+    assert masks.index(RRRLLLRL) < masks.index(RRLRLRLL)
+    delete = _one_lane_fault(DELETE, (RRLRLRLL, 0, 8), lambda _: 0b1111)
+    delete = _one_lane_fault(delete, (RRRLLLRL, 0, 6), lambda _: 0b1111)
+    monkeypatch.setattr(rlseq, "_delete", delete)
+    assert _reference_check(5).detail == "f_1 image mismatch on (n=4, k=2)"
+    expected = verify.CheckResult(
+        "deletion/insertion bijection", False, "f_1 image mismatch on (n=4, k=1)"
+    )
+    assert verify.check_bijection(5) == expected
+
+
+@pytest.mark.parametrize(
+    "target, wrong",
+    [((RLRRLRLL, 2, 8), lambda _: 0b001101), ((RLRLRLRL, 4, 6), lambda _: 0b010011)],
+)
+def test_the_check_never_lists_a_level_path_by_path(monkeypatch, target, wrong):
+    # the expected detail comes first: the reference lists every path
+    monkeypatch.setattr(rlseq, "_delete", _one_lane_fault(DELETE, target, wrong))
+    expected = _reference_check(6)
+    assert not expected.passed
+    monkeypatch.setattr(_kernel, "dyck_paths", lambda n: pytest.fail("dyck_paths was called"))
+    assert verify.check_bijection(6) == expected
+    monkeypatch.setattr(rlseq, "_delete", DELETE)
+    passed = verify.CheckResult("deletion/insertion bijection", True, cases=4_861)
+    assert verify.check_bijection(8) == passed

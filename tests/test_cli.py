@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import treewalks
-from treewalks import cli, rlseq, triangles, verify
+from treewalks import cli, oracle, rlseq, triangles, verify
 from treewalks import fixtures as fx
+from treewalks.exact import exact_div
 from treewalks.series import gf_walk_counts
 
 
@@ -321,6 +322,34 @@ def test_an_index_error_is_not_a_usage_error(monkeypatch):
 
     monkeypatch.setattr(cli, "walks_polynomial", broken)
     with pytest.raises(IndexError, match="internal"):
+        cli.main(["poly", "--n", "3"])
+
+
+def test_an_exactness_fault_is_one_line_and_exit_3(monkeypatch, capsys):
+    monkeypatch.setitem(cli.ROUTES, "catalan", lambda n, delta: exact_div(7, 2))
+    code, out, err = run(capsys, "walks", "--n", "3", "--delta", "3")
+    assert (code, out) == (cli.EXIT_EXACTNESS, "") and code == 3
+    assert err == "error: exactness fault: non-exact division of a 3-bit by a 2-bit integer\n"
+
+
+def test_the_oracles_own_exactness_fault_exits_3(monkeypatch, capsys):
+    # oracle.py raises a plain ArithmeticError, as it imports nothing from the package
+    real = oracle._exact
+    monkeypatch.setattr(oracle, "_exact", lambda numerator, divisor: real(7, 2))
+    code, out, err = run(capsys, "walks", "--n", "5", "--delta", "3", "--method", "oracle")
+    assert (code, out) == (3, "")
+    detail = "non-exact division by a power of delta - 1 in the DP"
+    assert err == f"error: exactness fault: {detail}\n"
+
+
+@pytest.mark.parametrize("bug", [ZeroDivisionError, OverflowError, FloatingPointError])
+def test_an_arithmetic_bug_is_not_an_exactness_fault(monkeypatch, bug):
+    # these ArithmeticErrors are bugs, as the IndexError above is
+    def broken(n):
+        raise bug("internal")
+
+    monkeypatch.setattr(cli, "walks_polynomial", broken)
+    with pytest.raises(bug, match="internal"):
         cli.main(["poly", "--n", "3"])
 
 

@@ -7,6 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from treewalks.exact import ExactnessError, exact_div
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Each case breaks one identity a route relies on and expects the named
@@ -78,3 +82,10 @@ def test_exactness_checks_hold_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "failed: none"
+
+
+def test_a_non_exact_division_names_bit_lengths_not_digits():
+    # 10^5000 + 1 has 5,001 digits, past Python's default int -> str limit
+    with pytest.raises(ExactnessError) as caught:
+        exact_div(10**5000 + 1, 10)
+    assert str(caught.value) == "non-exact division of a 16610-bit by a 4-bit integer"
