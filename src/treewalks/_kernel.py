@@ -91,18 +91,21 @@ def dyck_paths(n: int) -> Iterator[tuple[int, list[int]]]:
 
 
 def dyck_classes(n: int) -> dict:
-    """Level n's paths as a dict from each ends tuple to an ``array("Q")`` of masks.
+    """Level n's paths as a dict from each ends tuple to an ``array("I")`` of masks.
 
     The ends are ``dyck_paths``'s, and the classes and the masks of each
     class come in its order.  A head's returns all lie at or below n and a
     tail's above n, so ``head_ends + tail_ends`` pins the split, and the
     paths of one class are, head by head, one head with every tail of one
     group: the tails of the head's height that share their returns.  Each
-    group is packed one tail per 64-bit lane (Kronecker packing, as
+    group is packed one tail per 32-bit lane (Kronecker packing, as
     ``component_histograms`` packs its counts), and one addition,
     ``tails + head * lanes``, joins the head to every lane.  No carry
     crosses a lane: the head's bits lie below n, the tail's from n up,
-    and every mask is below 2^(2n), which fits a lane while n <= 32.
+    and every mask is below 2^(2n), which fits a lane while n <= 16; past
+    that, packing the first tail with a bit at or above 32 raises
+    OverflowError.  A path takes 4 bytes: 38.8 MB for the 9,694,845 paths
+    of level 15.
     """
     from array import array  # here, so that importing the CLI loads nothing new
 
@@ -122,9 +125,9 @@ def dyck_classes(n: int) -> dict:
                 by_ends.setdefault(tuple(tail_ends), []).append(tail)
             groups[height] = group = []
             for ends, tails in by_ends.items():
-                packed = int.from_bytes(array("Q", tails), order)
-                lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * len(tails), "little")
-                group.append((ends, packed, 8 * len(tails), lanes))
+                packed = int.from_bytes(array("I", tails), order)
+                lanes = int.from_bytes(b"\1\0\0\0" * len(tails), "little")
+                group.append((ends, packed, 4 * len(tails), lanes))
         head_ends = tuple(head_ends)
         for tail_ends, tails, size, lanes in groups[height]:
             masks = (tails + head * lanes).to_bytes(size, order)
@@ -132,7 +135,7 @@ def dyck_classes(n: int) -> dict:
             if ends in classes:
                 classes[ends].frombytes(masks)
             else:
-                classes[ends] = array("Q", masks)
+                classes[ends] = array("I", masks)
     return classes
 
 

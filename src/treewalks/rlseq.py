@@ -31,8 +31,9 @@ letters once, into its mask and component ends, and ``_word`` spells a
 mask back.  That module and this one read the bits, and so, for speed,
 does ``verify.check_bijection``.  ``_delete`` and ``_insert`` take the
 bounds of the cut or wrapped block from ``_bounds`` and ``_wrap_bounds``
-and are lane-generic: one call maps every 64-bit lane of a packed
-integer, and the word functions here are its one-lane case.  The check
+and are lane-generic: one call maps every lane of a packed integer, 32
+bits wide in the check, and the word functions here are its one-lane
+case.  The check
 packs the (path, i) pairs of one level whose component i spans the same
 block of steps, so one call per block deletes or inserts on all of them.
 """
@@ -111,9 +112,13 @@ def is_balanced_legal(word: str) -> bool:
     return True
 
 
+_LETTERS = str.maketrans("10", "RL")
+
+
 def _word(mask: int, length: int) -> str:
     """The word of a mask's first ``length`` steps; length 0 gives ""."""
-    return "".join("R" if mask >> p & 1 else "L" for p in range(length))
+    # bin() spells the bits highest first, after "0b" and a guard bit set at ``length``
+    return bin(mask & (1 << length) - 1 | 1 << length)[:2:-1].translate(_LETTERS)
 
 
 def components(word: str) -> tuple[str, ...]:
@@ -186,8 +191,8 @@ def _bounds(ends: list[int], i: int) -> tuple[int, int]:
 def _delete(mask: int, start: int, end: int, lanes: int = 1) -> int:
     """Drop bits start and end - 1, moving the bits above each down.
 
-    ``mask`` holds one word per 64-bit lane and ``lanes`` is
-    sum_j 2^(64 j) over its lanes, so every constant mask is repeated in
+    ``mask`` holds one word per w-bit lane and ``lanes`` is
+    sum_j 2^(w j) over its lanes, so every constant mask is repeated in
     every lane.  No bit crosses a lane: the right shifts move only bits at
     or above start + 1, or at or above end >= 2, of their own lane.
     """
@@ -220,7 +225,7 @@ def _insert(mask: int, start: int, end: int, lanes: int = 1) -> int:
     """Wrap bits start..end-1 in a set bit below and a clear bit above.
 
     Lane-generic as ``_delete`` is.  The left shifts move a lane's bits
-    up by at most two, so a word of at most 62 bits stays in its lane.
+    up by at most two, so a word of at most w - 2 bits stays in its lane.
     """
     below = mask & ((1 << end) - 1) * lanes
     low = below & ((1 << start) - 1) * lanes

@@ -9,8 +9,11 @@ cases it compared in ``cases``; a check that compared none fails with
 
 from __future__ import annotations
 
+import functools
 import sys
+from bisect import bisect_right
 from collections import defaultdict, namedtuple
+from itertools import accumulate
 from math import comb
 
 from treewalks import _kernel, rlseq
@@ -123,13 +126,20 @@ def check_s_table(max_n: int) -> CheckResult:
     return _passed(name, max_n * (max_n + 1) // 2)
 
 
+#: Bits of the lane that holds one path in the bijection check; the
+#: check and ``_all_paths`` step through a block four bytes a lane.
+_LANE_BITS = 32
+#: Lanes that the bijection check deletes, inserts and tests in one step.
+_CHUNK_LANES = 1 << 16
+
+
 def _check_lane_room(n: int) -> None:
-    # a word of length 2n stays in its 64-bit lane under ``rlseq._insert``,
-    # which shifts it up by two, only while 2n + 2 <= 64
-    if n > 31:
+    # a word of length 2n stays in its 32-bit lane under ``rlseq._insert``,
+    # which shifts it up by two, only while 2n + 2 <= 32
+    if 2 * n + 2 > _LANE_BITS:
         raise ValueError(
-            "the bijection check packs paths into 64-bit lanes, so "
-            f"min(--max-n, --enum-cap) must be <= 31, got {n}"
+            f"the bijection check packs paths into {_LANE_BITS}-bit lanes, so "
+            f"min(--max-n, --enum-cap) must be <= {_LANE_BITS // 2 - 1}, got {n}"
         )
 
 
@@ -148,54 +158,64 @@ def check_bijection(max_n: int) -> CheckResult:
 
     The pairs of a level whose component i spans the same deletion block
     (start, end) = (e_(i-1), e_i), as ``_kernel.dyck_classes`` gives the
-    ends, are packed one path per 64-bit lane (Kronecker packing, as
+    ends, are packed one path per 32-bit lane (Kronecker packing, as
     ``_kernel.component_histograms`` packs its counts), whatever their i
-    and k, so one ``rlseq._delete`` call deletes the block from every lane.
-    Each image must be in level n - 1, must agree with its omega below
-    start, and from end - 2 on with omega from end on.  Then every image is
-    a path that returns to the root at e_1, ..., e_(i-1), at some points up
-    to end - 2 with a return at end - 2 itself unless end - 2 = start, and
-    then at e_(i+1) - 2, ..., e_k - 2, with its lane's own i and k.  So
-    every image has at least k - 1 components, and ``rlseq._wrap_bounds``,
-    which reads the (i-1)-th end and the (k-i+1)-th end from the last,
-    gives every lane the insertion bounds (start, end - 2) that it gives
-    lane 0.  One ``rlseq._insert`` call then inserts on every lane, and
-    must give the block back.
+    and k, ``_CHUNK_LANES`` lanes at a time, so one ``rlseq._delete`` call
+    deletes the block from every lane of a chunk.  Each image must be a
+    path of length 2n - 2, as ``_all_paths`` tests on every lane at once,
+    must agree with its omega below start, and from end - 2 on with omega
+    from end on.  Then every image is a path that returns to the root at
+    e_1, ..., e_(i-1), at some points up to end - 2 with a return at
+    end - 2 itself unless end - 2 = start, and then at e_(i+1) - 2, ...,
+    e_k - 2, with its lane's own i and k.  So every image has at least
+    k - 1 components, and ``rlseq._wrap_bounds``, which reads the (i-1)-th
+    end and the (k-i+1)-th end from the last, gives every lane the
+    insertion bounds (start, end - 2) that it gives lane 0 of the chunk.
+    One ``rlseq._insert`` call then inserts on every lane, and must give
+    the chunk back.
 
-    A block that fails any of this is judged again one lane at a time,
+    A chunk that fails any of this is judged again one lane at a time,
     each with its own i and k, and the first lane that fails alone is
     reported; if none does, the check goes on, as it would pair by pair.
     Of two or more failing pairs, the one reported is the first in the
     check's order of blocks and lanes, not in the kernel's order of paths.
-    ``_kernel.dyck_classes`` gives a level packed at 8 bytes a path in the
-    classes of paths that share their ends, and each block is copied from
-    its classes when it is checked.  Level n - 1 is held as the set of its
-    masks and its count of triples; the ends of an image that the check
-    reads, lane 0's of a block or one lane's, are scanned from its word.
+    ``_kernel.dyck_classes`` gives a level packed at 4 bytes a path in the
+    classes of paths that share their ends, and each chunk is copied from
+    its classes when it is checked.  Of level n - 1 the check keeps only
+    its count of triples; the ends of an image that the check reads, lane
+    0's of a chunk or one lane's, are scanned from its word.
 
     The count rests on ``_kernel.dyck_classes`` listing each path once.
     For n <= 12 the tests hold it to ``_kernel.dyck_paths`` grouped by
     ends, whose order ``test_kernel_order_is_pinned`` pins.  A level past
-    31 would not fit a lane and raises ValueError.
+    15 would leave insertion no room in a lane and raises ValueError.
     """
     _check_lane_room(max_n)
     name = "deletion/insertion bijection"
-    prev, triples = {0}, 1  # level 0: the empty path and its one triple
+    triples = 1  # level 0: the empty path and its one triple
     pairs = 0
     for n in range(1, max_n + 1):
         classes = _kernel.dyck_classes(n)
         blocks = defaultdict(list)  # (start, end) -> the ends of its classes
         for ends in classes:
-            for i in range(1, len(ends) + 1):
-                blocks[rlseq._bounds(ends, i)].append(ends)
+            for block in zip((0, *ends), ends):
+                blocks[block].append(ends)
         for (start, end), members in blocks.items():
-            block = b"".join(map(classes.__getitem__, members))
-            if _block_fault(block, start, end, members[0], n, prev) is None:
-                continue
-            for ends in members:
-                for omega in classes[ends]:
-                    lane = omega.to_bytes(8, sys.byteorder)
-                    fault = _block_fault(lane, start, end, ends, n, prev)
+            block = memoryview(b"".join(map(classes.__getitem__, members)))
+            tops = []  # built only for a chunk past the first or one that fails
+            for first in range(0, len(block) // 4, _CHUNK_LANES):
+                if first and not tops:
+                    tops = _class_tops(classes, members)
+                chunk = block[4 * first : 4 * (first + _CHUNK_LANES)]
+                c = bisect_right(tops, first)
+                if _block_fault(chunk, start, end, members[c], n) is None:
+                    continue
+                tops = tops or _class_tops(classes, members)
+                for lane in range(first, first + len(chunk) // 4):
+                    while tops[c] <= lane:
+                        c += 1
+                    omega = block[4 * lane : 4 * lane + 4]
+                    fault = _block_fault(omega, start, end, members[c], n)
                     if fault is not None:
                         return CheckResult(name, False, fault)
         count = sum(len(ends) * len(omegas) for ends, omegas in classes.items())
@@ -204,31 +224,31 @@ def check_bijection(max_n: int) -> CheckResult:
             return CheckResult(name, False, detail)
         pairs += count
         triples = sum(len(omegas) * comb(len(ends) + 2, 2) for ends, omegas in classes.items())
-        prev = set()
-        if n < max_n:
-            prev.update(*classes.values())
     return _passed(name, pairs)
 
 
-def _block_fault(omegas, start: int, end: int, ends: tuple, n: int, prev: set) -> str | None:
+def _class_tops(classes: dict, members: list) -> list[int]:
+    """The lane just past each class of a block, to find the class of a lane."""
+    return list(accumulate(map(len, map(classes.__getitem__, members))))
+
+
+def _block_fault(omegas, start: int, end: int, ends: tuple, n: int) -> str | None:
     """None iff every lane of the block deletes and re-inserts cleanly, else a fault.
 
-    ``omegas`` is the block's masks of level n in native 8-byte words;
-    lane 0 has these ends, and component i of k at (start, end).  The
-    fault is worded with lane 0's i, k and image, so a block of one lane
-    names its own (omega, i) pair.
+    ``omegas`` is the bytes of masks of level n from one block, in native
+    4-byte words; lane 0 has these ends, and component i of k at
+    (start, end).  The fault is worded with lane 0's i, k and image, so a
+    block of one lane names its own (omega, i) pair.
     """
     i, k = ends.index(end) + 1, len(ends)
     size, order = len(omegas), sys.byteorder
-    lanes = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (size // 8), "little")
+    lanes = int.from_bytes(b"\1\0\0\0" * (size // 4), "little")
     packed = int.from_bytes(omegas, order)
     alpha = rlseq._delete(packed, start, end, lanes)
-    try:
-        images = memoryview(alpha.to_bytes(size, order)).cast("Q")
-    except OverflowError:  # a lane spilled over
-        images = None
-    if images is not None and prev.issuperset(images):
-        word = rlseq._word(images[0], 2 * n - 2)
+    if _all_paths(alpha, 2 * n - 2, size):
+        # lane 0, first in memory, is the integer's top lane on a big-endian host
+        first = alpha if order == "little" else alpha >> 8 * size - _LANE_BITS
+        word = rlseq._word(first, 2 * n - 2)
         alpha_ends = rlseq._scan(word)[1]
         if len(alpha_ends) >= k - 1:
             back = rlseq._insert(alpha, *rlseq._wrap_bounds(alpha_ends, i, k), lanes)
@@ -241,10 +261,74 @@ def _block_fault(omegas, start: int, end: int, ends: tuple, n: int, prev: set) -
                 return f"{fault} fails at {word}, i={i}, k={k}"
             # images agree with omega off the block: a round trip implies it
             # unless both maps are wrong
-            below, above = ((1 << start) - 1) * lanes, ((1 << 64) - (1 << end)) * lanes
+            below = ((1 << start) - 1) * lanes
+            above = ((1 << _LANE_BITS) - (1 << end)) * lanes
             if not ((alpha ^ packed) & below or (alpha << 2 ^ packed) & above):
                 return None
     return f"f_{i} image mismatch on (n={n}, k={k})"
+
+
+@functools.cache
+def _step_tables() -> tuple[bytes, bytes]:
+    """Two ``bytes.translate`` tables over the 256 bytes of eight steps.
+
+    The first gives 8 minus a byte's net height change, in 0..16; the
+    second how far its lowest prefix (the empty prefix included) lies
+    below its start, in 0..8.  A byte is two nibbles of four steps, the
+    low one first.  Built on first use, once per process.
+    """
+    net = [2 * v.bit_count() - 4 for v in range(16)]
+    low = [min(accumulate((2 * (v >> p & 1) - 1 for p in range(4)), initial=0)) for v in range(16)]
+    nibbles = [(v & 15, v >> 4) for v in range(256)]
+    return (
+        bytes(8 - net[a] - net[b] for a, b in nibbles),
+        bytes(-min(low[a], net[a] + low[b]) for a, b in nibbles),
+    )
+
+
+@functools.cache
+def _dip_table(start: int, steps: int) -> bytes:
+    """The ``bytes.translate`` table of the byte of a lane whose first step is ``start``.
+
+    The word has ``steps`` steps in that byte, and the bits above them are
+    read as R steps, which never go lower; a byte goes to 127 - start plus
+    how far below its start its lowest prefix lies.
+    """
+    above = 255 << steps & 255
+    dips = bytes(v | above for v in range(256)).translate(_step_tables()[1])
+    return bytes(127 - start + dip for dip in dips)
+
+
+def _all_paths(packed: int, length: int, size: int) -> bool:
+    """True iff every 32-bit lane of ``packed`` is a Dyck path of ``length`` steps.
+
+    A ``packed`` past ``size`` bytes fails.  Byte b of every lane, steps
+    8b..8b+7, is cut out as one row of bytes, and only the rows that hold
+    steps of the word are read.  With H_b the height before byte b, the
+    row is translated into 8 - (H_(b+1) - H_b), and the running sum of
+    those rows gives 8b - H_b in every lane.  Adding the row translated
+    by ``_dip_table`` gives 127 - (H_b + the lowest height within byte b
+    relative to H_b), which has its high bit clear iff the path stays at
+    or above 0 through byte b.  No carry crosses a byte: the running sum
+    is at most 48 and every byte of the total lies in 103..159, so the
+    rows' totals, ORed, are ASCII iff the word never dips below 0.  A lane
+    that never dips has at least length / 2 set bits, with equality iff
+    its word ends at 0 and it has no bit at or above ``length``; so once
+    every lane does, ``packed`` has size / 4 * length / 2 set bits iff
+    every lane is a path.
+    """
+    if packed >> 8 * size or packed.bit_count() != size * length // 8:
+        return False
+    steps = packed.to_bytes(size, "little")
+    drop = _step_tables()[0]
+    rise = worst = 0
+    for start in range(0, length, 8):
+        row = steps[start // 8 :: 4]
+        dip = row.translate(_dip_table(start, min(length - start, 8)))
+        worst |= rise + int.from_bytes(dip, "little")
+        if start + 8 < length:
+            rise += int.from_bytes(row.translate(drop), "little")
+    return worst.to_bytes(size // 4, "little").isascii()
 
 
 def check_borel_consistency(max_n: int) -> CheckResult:

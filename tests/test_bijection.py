@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from itertools import product
 
@@ -20,7 +21,8 @@ from treewalks.rlseq import (
 )
 
 DELETE, INSERT = rlseq._delete, rlseq._insert
-WORD = (1 << 64) - 1
+LANE = verify._LANE_BITS
+WORD = (1 << LANE) - 1
 
 
 @pytest.mark.parametrize(
@@ -252,6 +254,18 @@ def _block(draw):
     return draw(st.integers(min_value=0, max_value=end - 2)), end
 
 
+def _maps_act_on_each_lane(words, block, bits):
+    start, end = block
+    lanes = sum(1 << bits * j for j in range(len(words)))
+    packed = sum(w << bits * j for j, w in enumerate(words))
+    for fn in (DELETE, INSERT):
+        out = fn(packed, start, end, lanes)
+        assert [out >> bits * j & (1 << bits) - 1 for j in range(len(words))] == [
+            fn(w, start, end) for w in words
+        ]
+        assert not out >> bits * len(words)
+
+
 @given(
     st.lists(st.integers(0, (1 << 62) - 1) | st.integers(1 << 61, (1 << 62) - 1), min_size=1),
     _block(),
@@ -259,16 +273,21 @@ def _block(draw):
 @example([(1 << 62) - 1, 1 << 61, (1 << 62) - 1], (0, 62))
 @example([(1 << 62) - 1, 0, (1 << 62) - 1], (60, 62))
 def test_maps_act_on_each_lane_as_on_one_word(words, block):
-    # 62-bit words fill a lane up to the two guard bits that insertion needs
-    start, end = block
-    lanes = sum(1 << 64 * j for j in range(len(words)))
-    packed = sum(w << 64 * j for j, w in enumerate(words))
-    for fn in (DELETE, INSERT):
-        out = fn(packed, start, end, lanes)
-        assert [out >> 64 * j & WORD for j in range(len(words))] == [
-            fn(w, start, end) for w in words
-        ]
-        assert not out >> 64 * len(words)
+    # 62-bit words fill a 64-bit lane up to the two guard bits that
+    # insertion needs
+    _maps_act_on_each_lane(words, block, 64)
+
+
+@given(
+    st.lists(st.integers(0, (1 << 30) - 1) | st.integers(1 << 29, (1 << 30) - 1), min_size=1),
+    _block().filter(lambda block: block[1] <= 30),
+)
+@example([(1 << 30) - 1, 1 << 29, (1 << 30) - 1], (0, 30))
+@example([(1 << 30) - 1, 0, (1 << 30) - 1], (28, 30))
+def test_maps_act_on_each_32_bit_lane_as_on_one_word(words, block):
+    # the check's own lane: 30-bit words, the paths of level 15
+    assert LANE == 32
+    _maps_act_on_each_lane(words, block, LANE)
 
 
 def _reference_check(max_n):
@@ -321,10 +340,10 @@ def _one_lane_fault(fn, target, wrong):
 
     def faulty(mask, start, end, lanes=1):
         out = 0
-        for j in range(lanes.bit_length() // 64 + 1):
-            word = mask >> 64 * j & WORD
+        for j in range(lanes.bit_length() // LANE + 1):
+            word = mask >> LANE * j & WORD
             got = fn(word, start, end)
-            out |= (wrong(got) if (word, start, end) == target else got) << 64 * j
+            out |= (wrong(got) if (word, start, end) == target else got) << LANE * j
         return out
 
     return faulty
@@ -347,7 +366,7 @@ def _block_lanes(n, start, end):
     return [
         mask
         for ends, masks in _classes(n).items()
-        if end in ends and (start == 0 or ends[ends.index(end) - 1] == start)
+        if (start, end) in zip((0, *ends), ends)
         for mask in masks
     ]
 
@@ -450,8 +469,8 @@ def _lane_zero_only(mask, start, end, lanes=1):
 
 def _spill_past_top_lane(mask, start, end, lanes=1):
     # the packed image overflows its block's bytes, and a single word gets
-    # bit 64, which no path of level n - 1 has
-    return DELETE(mask, start, end, lanes) | lanes << 64
+    # the bit just past its lane, which no path of level n - 1 has
+    return DELETE(mask, start, end, lanes) | lanes << LANE
 
 
 @pytest.mark.parametrize("fake, passed", [(_lane_zero_only, True), (_spill_past_top_lane, False)])
@@ -502,13 +521,13 @@ def test_the_check_makes_one_packed_insertion_per_block(monkeypatch):
 
 def test_levels_past_a_lane_are_refused_before_any_check(monkeypatch):
     monkeypatch.setattr(verify, "check_method_agreement", lambda *_: pytest.fail("a check ran"))
-    for refused in (lambda: verify.run_all(32, 1, 32), lambda: verify.check_bijection(32)):
+    for refused in (lambda: verify.run_all(16, 1, 16), lambda: verify.check_bijection(16)):
         with pytest.raises(ValueError, match="--enum-cap"):
             refused()
-    # level 31 is taken: with no paths it fails at level 1, not up front
+    # level 15 is taken: with no paths it fails at level 1, not up front
     monkeypatch.setattr(_kernel, "dyck_classes", lambda n: {})
     detail = "0 (omega, i) pairs but 1 (alpha, i, k) triples at n=1"
-    assert verify.check_bijection(31).detail == detail
+    assert verify.check_bijection(15).detail == detail
 
 
 RRLRLRLL, RRRLLLRL = 0b00101011, 0b01000111
@@ -544,3 +563,126 @@ def test_the_check_never_lists_a_level_path_by_path(monkeypatch, target, wrong):
     monkeypatch.setattr(rlseq, "_delete", DELETE)
     passed = verify.CheckResult("deletion/insertion bijection", True, cases=4_861)
     assert verify.check_bijection(8) == passed
+
+
+def _is_path(mask, length):
+    """The scanner's verdict: the word of ``mask`` is a path of ``length`` steps."""
+    if mask >> length:
+        return False
+    return rlseq.is_balanced_legal(rlseq._word(mask, length))
+
+
+def _packed(words):
+    """``words`` one per 32-bit lane, with the byte size of the packing."""
+    return sum(w << LANE * j for j, w in enumerate(words)), LANE // 8 * len(words)
+
+
+def test_the_packed_path_test_equals_the_scanner_on_every_short_word():
+    for length in range(13):
+        words = range(1 << length)
+        paths = [w for w in words if _is_path(w, length)]
+        for w in words:
+            assert verify._all_paths(w, length, 4) is (w in paths), (length, w)
+            # a bit above the word, in its lane or just past it
+            for above in (length, LANE - 1, LANE):
+                assert not verify._all_paths(w | 1 << above, length, 4), (length, w, above)
+        if paths:
+            packed, size = _packed(paths)
+            assert verify._all_paths(packed, length, size)
+        for w in words[:: 1 + len(words) // 64]:
+            if w not in paths:
+                # one non-path among paths fails the packed test, in any lane
+                for j in (0, len(paths) // 2, len(paths)):
+                    packed, size = _packed(paths[:j] + [w] + paths[j:])
+                    assert not verify._all_paths(packed, length, size), (length, w, j)
+
+
+def _random_path(rng, m):
+    """A Dyck path of semi-length m: a shuffled balanced word, rotated past its lowest point."""
+    steps = list("R" * m + "L" * m)
+    rng.shuffle(steps)
+    height, low, cut = 0, 0, 0
+    for pos, ch in enumerate(steps):
+        height += 1 if ch == "R" else -1
+        if height < low:
+            low, cut = height, pos + 1
+    return rlseq._scan("".join(steps[cut:] + steps[:cut]))[0]
+
+
+@pytest.mark.parametrize("length", [24, 30])
+def test_the_packed_path_test_equals_the_scanner_on_random_long_words(length):
+    rng = random.Random(length)
+    paths = [_random_path(rng, length // 2) for _ in range(1500)]
+    words = paths + [rng.getrandbits(length) for _ in range(1500)]
+    for w in words:
+        assert verify._all_paths(w, length, 4) is _is_path(w, length), w
+    packed, size = _packed(paths)
+    assert verify._all_paths(packed, length, size)
+    for _ in range(200):
+        # one flipped bit changes a path's final height, so it fails
+        flip = 1 << LANE * rng.randrange(len(paths)) + rng.randrange(length)
+        assert not verify._all_paths(packed ^ flip, length, size)
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        pytest.param(0b011010, id="dips below the root"),
+        pytest.param(0b010111, id="ends above the root"),
+        pytest.param(0b001101 | 1 << 6, id="a bit above the word"),
+    ],
+)
+def test_a_lane_whose_image_is_no_path_fails_and_names_its_pair(monkeypatch, image):
+    # component 2 of RLRRLRLL, lane 1 of the block (2, 8), deletes to a
+    # word of six steps that is not a path of level 3
+    assert not _is_path(image, 6)
+    lanes = _block_lanes(4, 2, 8)
+    assert RLRRLRLL in lanes[1:]
+    delete = _one_lane_fault(DELETE, (RLRRLRLL, 2, 8), lambda _: image)
+    monkeypatch.setattr(rlseq, "_delete", delete)
+    expected = verify.CheckResult(
+        "deletion/insertion bijection", False, "f_2 image mismatch on (n=4, k=2)"
+    )
+    assert verify.check_bijection(6) == _reference_check(6) == expected
+
+
+RRRLLLRLRL, RLRRRLLLRL = 0b0101000111, 0b0100011101
+
+
+@pytest.mark.parametrize(
+    "target, wrong",
+    [
+        pytest.param(None, None, id="passing"),
+        # lane 5 of the 14 lanes of block (8, 10) at level 5, component 3 of
+        # 3: the third chunk of two, whose lane 0 has ends (8, 10)
+        pytest.param((RRRLLLRLRL, 8, 10), lambda _: 0b01010011, id="round trip"),
+        # lane 5 of block (0, 2) at level 5, whose chunk's lane 0 has ends (2, 10)
+        pytest.param((RLRRRLLLRL, 0, 2), lambda _: 0b11111111, id="image"),
+    ],
+)
+def test_chunks_of_two_lanes_judge_as_the_reference_does(monkeypatch, target, wrong):
+    if target is not None:
+        monkeypatch.setattr(rlseq, "_delete", _one_lane_fault(DELETE, target, wrong))
+    expected = _reference_check(7)
+    assert expected.passed is (target is None)
+    widths = []
+    insert = rlseq._insert
+
+    def counted(mask, start, end, lanes=1):
+        widths.append(lanes.bit_length() // LANE + 1)
+        return insert(mask, start, end, lanes)
+
+    monkeypatch.setattr(rlseq, "_insert", counted)
+    monkeypatch.setattr(verify, "_CHUNK_LANES", 2)
+    assert verify.check_bijection(7) == expected
+    assert max(widths) == 2
+    if expected.passed:
+        # each chunk passes whole, judged by the i and k of its own lane 0,
+        # so none is judged again lane by lane
+        blocks = {
+            (n, rlseq._bounds(ends, i))
+            for n in range(1, 8)
+            for ends in _classes(n)
+            for i in range(1, len(ends) + 1)
+        }
+        assert len(widths) == sum(-(-len(_block_lanes(n, *b)) // 2) for n, b in blocks)

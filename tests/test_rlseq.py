@@ -163,7 +163,7 @@ def test_kernel_classes_are_its_paths_grouped_by_ends():
             grouped.setdefault(tuple(ends), []).append(mask)
         classes = _kernel.dyck_classes(n)
         assert [(ends, masks.typecode, list(masks)) for ends, masks in classes.items()] == [
-            (ends, "Q", masks) for ends, masks in grouped.items()
+            (ends, "I", masks) for ends, masks in grouped.items()
         ], n
         assert sum(map(len, classes.values())) == catalan_number(n)
         assert max(max(masks) for masks in classes.values()) < 1 << 2 * n
