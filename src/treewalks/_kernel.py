@@ -8,21 +8,22 @@ R < L, i.e. R before L at every position.
 
 Every path is one head (steps 0..n-1, from the root to some height h)
 followed by one tail (steps n..2n-1, from h back to the root), and every
-such pair is a path.  One iterative enumerator, ``_levels``, builds the
-halves a step at a time: all heads, then, once per height a head reaches,
-all tails from that height.  A path is ``head | tail`` and its returns
-are the head's followed by the tail's.  Each level lists its prefixes in
-lexicographic order (a prefix's R child, then its L child, prefix by
-prefix), so heads come out in order and so do the tails of each height;
-as the head fills the first n letters, taking heads in order and, for
-each, its tails in order gives the lexicographic order of whole paths.
+such pair is a path.  ``_halves`` runs one iterative enumerator,
+``_levels``, a step at a time: once for all heads, then once per height a
+head ends at, for all tails from it.  A path is ``head | tail`` and its
+returns are the head's followed by the tail's.  Each level lists its
+prefixes in lexicographic order (a prefix's R child, then its L child,
+prefix by prefix), so heads come out in order and so do the tails of each
+height; as the head fills the first n letters, taking heads in order and,
+for each, its tails in order gives the lexicographic order of whole paths.
 
 Cost: the halves are Dyck prefixes of length n, at most C(n, n/2) of
 them, built once.  ``dyck_paths`` then spends one OR and one join of two
 short return lists on each of the Catalan(n) paths.  ``dyck_classes``
-takes no Python step per path: it groups each height's tails by their
-returns, once, and then makes one packed addition and one byte copy per
-head and tail group, 2,871 of them for the 16,796 paths of level 10.
+takes no Python step per path, of which level 10 has 16,796: it packs
+every height's tails, grouped by returns, before the first head, then
+makes one addition, one byte copy and one dict lookup per head and tail
+group, of which level 10 has 2,871.
 ``component_histograms(n)`` enumerates no whole path and no tail: one
 head run to depth n lists the prefixes of every length m <= n, which are
 exactly the heads of semi-length m, and a tail read backwards is a head,
@@ -36,9 +37,11 @@ packs its polynomials.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from collections.abc import Iterator
+from functools import partial
 
-from treewalks.exact import ExactnessError
+from treewalks.exact import slots
 
 #: A half-path: (bits, return positions, end height).
 _Half = tuple[int, list[int], int]
@@ -69,6 +72,17 @@ def _levels(n: int, start: int, stop: int, height: int) -> Iterator[list[_Half]]
         yield level
 
 
+def _halves(n: int) -> tuple[list[_Half], dict[int, list[_Half]]]:
+    """Level n's heads, and the tails from each height a head ends at, n % 2, n % 2 + 2, ..., n."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    *_, heads = _levels(n, 0, n, 0)
+    tails = {}
+    for height in range(n % 2, n + 1, 2):
+        *_, tails[height] = _levels(n, n, 2 * n, height)
+    return heads, tails
+
+
 def dyck_paths(n: int) -> Iterator[tuple[int, list[int]]]:
     """Every Dyck path of semi-length n as (mask, ends), lexicographic with R first.
 
@@ -76,16 +90,8 @@ def dyck_paths(n: int) -> Iterator[tuple[int, list[int]]]:
     ``rlseq._scan`` gives it for the path's word; its length is the
     component count.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    for heads in _levels(n, 0, n, 0):
-        pass
-    tails: dict[int, list[_Half]] = {}
+    heads, tails = _halves(n)
     for head, head_ends, height in heads:
-        if height not in tails:
-            for level in _levels(n, n, 2 * n, height):
-                pass
-            tails[height] = level
         for tail, tail_ends, _ in tails[height]:
             yield head | tail, head_ends + tail_ends
 
@@ -97,45 +103,35 @@ def dyck_classes(n: int) -> dict:
     class come in its order.  A head's returns all lie at or below n and a
     tail's above n, so ``head_ends + tail_ends`` pins the split, and the
     paths of one class are, head by head, one head with every tail of one
-    group: the tails of the head's height that share their returns.  Each
-    group is packed one tail per 32-bit lane (Kronecker packing, as
-    ``component_histograms`` packs its counts), and one addition,
-    ``tails + head * lanes``, joins the head to every lane.  No carry
-    crosses a lane: the head's bits lie below n, the tail's from n up,
-    and every mask is below 2^(2n), which fits a lane while n <= 16; past
-    that, packing the first tail with a bit at or above 32 raises
-    OverflowError.  A path takes 4 bytes: 38.8 MB for the 9,694,845 paths
-    of level 15.
+    group: the tails of the head's height that share their returns.  Every
+    height's groups are built once, before the first head, each packed one
+    tail per 32-bit lane (Kronecker packing, as ``component_histograms``
+    packs its counts), and one addition, ``tails + head * lanes``, joins
+    the head to every lane.  No carry crosses a lane: the head's bits lie
+    below n, the tail's from n up, and every mask is below 2^(2n), which
+    fits a lane while n <= 16; past that, packing the first tail with a
+    bit at or above 32 raises OverflowError.  A path takes 4 bytes:
+    38.8 MB for the 9,694,845 paths of level 15.
     """
     from array import array  # here, so that importing the CLI loads nothing new
 
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     order = sys.byteorder
-    for heads in _levels(n, 0, n, 0):
-        pass
-    groups: dict[int, list] = {}  # height -> (ends, packed tails, bytes, lanes) by tail group
-    classes: dict[tuple[int, ...], array] = {}
+    heads, tails = _halves(n)
+    for height, level in tails.items():  # each height's tails give way to their groups
+        by_ends = defaultdict(list)
+        for tail, tail_ends, _ in level:
+            by_ends[tuple(tail_ends)].append(tail)
+        tails[height] = [  # (ends, packed tails, bytes, lanes) by tail group
+            (ends, int.from_bytes(array("I", group), order), 4 * len(group),
+             int.from_bytes(b"\1\0\0\0" * len(group), "little"))
+            for ends, group in by_ends.items()
+        ]
+    classes: defaultdict[tuple[int, ...], array] = defaultdict(partial(array, "I"))
     for head, head_ends, height in heads:
-        if height not in groups:
-            for level in _levels(n, n, 2 * n, height):
-                pass
-            by_ends: dict[tuple[int, ...], list[int]] = {}
-            for tail, tail_ends, _ in level:
-                by_ends.setdefault(tuple(tail_ends), []).append(tail)
-            groups[height] = group = []
-            for ends, tails in by_ends.items():
-                packed = int.from_bytes(array("I", tails), order)
-                lanes = int.from_bytes(b"\1\0\0\0" * len(tails), "little")
-                group.append((ends, packed, 4 * len(tails), lanes))
         head_ends = tuple(head_ends)
-        for tail_ends, tails, size, lanes in groups[height]:
-            masks = (tails + head * lanes).to_bytes(size, order)
-            ends = head_ends + tail_ends
-            if ends in classes:
-                classes[ends].frombytes(masks)
-            else:
-                classes[ends] = array("I", masks)
+        for tail_ends, packed, size, lanes in tails[height]:
+            classes[head_ends + tail_ends].frombytes((packed + head * lanes).to_bytes(size, order))
+    classes.default_factory = None  # a missing ends tuple is a KeyError again
     return classes
 
 
@@ -174,12 +170,5 @@ def component_histograms(n: int) -> list[list[int]]:
         for _, ends, height in level:
             heads[height] += x[len(ends)]
         packed = heads[0] ** 2 + (sum(h * h for h in heads[1:]) << bits)
-        mask = (1 << bits) - 1
-        hist = []
-        for _ in range(m + 1):
-            hist.append(packed & mask)
-            packed >>= bits
-        if packed:
-            raise ExactnessError(f"histogram row {m} carries out of its top slot")
-        rows.append(hist)
+        rows.append(slots(packed, bits, m + 1, f"histogram row {m}"))
     return rows

@@ -31,7 +31,7 @@ from itertools import accumulate
 from math import comb
 from operator import add
 
-from treewalks.exact import ExactnessError, exact_div
+from treewalks.exact import ExactnessError, exact_div, slots
 
 
 class TriangleIndexError(ValueError):
@@ -78,14 +78,7 @@ def borel_transform_row(n: int) -> list[int]:
     packed = 0
     for s in range(n, -1, -1):
         packed += (packed << bits) + catalan_entry(n, s)
-    mask = (1 << bits) - 1
-    row = []
-    for _ in range(n + 1):
-        row.append(packed & mask)
-        packed >>= bits
-    if packed:
-        raise ExactnessError(f"Borel transform row {n} carries out of its top slot")
-    return row
+    return slots(packed, bits, n + 1, f"Borel transform row {n}")
 
 
 def borel_row(n: int) -> list[int]:

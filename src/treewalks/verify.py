@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from bisect import bisect_right
 from collections import defaultdict, namedtuple
 from itertools import accumulate
 from math import comb
@@ -177,6 +176,8 @@ def check_bijection(max_n: int) -> CheckResult:
     A chunk that fails any of this is judged again one lane at a time,
     each with its own i and k, and the first lane that fails alone is
     reported; if none does, the check goes on, as it would pair by pair.
+    The class of each chunk's lane 0 and of each lane judged alone comes
+    from one running pointer per block: a class, and the lane past it.
     Of two or more failing pairs, the one reported is the first in the
     check's order of blocks and lanes, not in the kernel's order of paths.
     ``_kernel.dyck_classes`` gives a level packed at 4 bytes a path in the
@@ -202,18 +203,18 @@ def check_bijection(max_n: int) -> CheckResult:
                 blocks[block].append(ends)
         for (start, end), members in blocks.items():
             block = memoryview(b"".join(map(classes.__getitem__, members)))
-            tops = []  # built only for a chunk past the first or one that fails
+            c, top = 0, len(classes[members[0]])  # a lane's class, and the lane past it
             for first in range(0, len(block) // 4, _CHUNK_LANES):
-                if first and not tops:
-                    tops = _class_tops(classes, members)
+                while top <= first:
+                    c += 1
+                    top += len(classes[members[c]])
                 chunk = block[4 * first : 4 * (first + _CHUNK_LANES)]
-                c = bisect_right(tops, first)
                 if _block_fault(chunk, start, end, members[c], n) is None:
                     continue
-                tops = tops or _class_tops(classes, members)
                 for lane in range(first, first + len(chunk) // 4):
-                    while tops[c] <= lane:
+                    while top <= lane:
                         c += 1
+                        top += len(classes[members[c]])
                     omega = block[4 * lane : 4 * lane + 4]
                     fault = _block_fault(omega, start, end, members[c], n)
                     if fault is not None:
@@ -225,11 +226,6 @@ def check_bijection(max_n: int) -> CheckResult:
         pairs += count
         triples = sum(len(omegas) * comb(len(ends) + 2, 2) for ends, omegas in classes.items())
     return _passed(name, pairs)
-
-
-def _class_tops(classes: dict, members: list) -> list[int]:
-    """The lane just past each class of a block, to find the class of a lane."""
-    return list(accumulate(map(len, map(classes.__getitem__, members))))
 
 
 def _block_fault(omegas, start: int, end: int, ends: tuple, n: int) -> str | None:

@@ -649,18 +649,27 @@ def test_a_lane_whose_image_is_no_path_fails_and_names_its_pair(monkeypatch, ima
 RRRLLLRLRL, RLRRRLLLRL = 0b0101000111, 0b0100011101
 
 
+_CHUNK_CASES = [
+    pytest.param(None, None, id="passing"),
+    # lane 5 of the 14 lanes of block (8, 10) at level 5, component 3 of
+    # 3: the third chunk of two, whose lane 0 has ends (8, 10)
+    pytest.param((RRRLLLRLRL, 8, 10), lambda _: 0b01010011, id="round trip"),
+    # lane 5 of block (0, 2) at level 5, whose chunk's lane 0 has ends (2, 10)
+    pytest.param((RLRRRLLLRL, 0, 2), lambda _: 0b11111111, id="image"),
+]
+
+
+# in chunks of one lane the class pointer moves at every chunk, and in
+# chunks of three some chunks start inside a class
 @pytest.mark.parametrize(
-    "target, wrong",
+    "size, target, wrong",
     [
-        pytest.param(None, None, id="passing"),
-        # lane 5 of the 14 lanes of block (8, 10) at level 5, component 3 of
-        # 3: the third chunk of two, whose lane 0 has ends (8, 10)
-        pytest.param((RRRLLLRLRL, 8, 10), lambda _: 0b01010011, id="round trip"),
-        # lane 5 of block (0, 2) at level 5, whose chunk's lane 0 has ends (2, 10)
-        pytest.param((RLRRRLLLRL, 0, 2), lambda _: 0b11111111, id="image"),
+        pytest.param(size, *case.values, id=case.id if size == 2 else f"{case.id}, chunks of {size}")
+        for size in (1, 2, 3)
+        for case in _CHUNK_CASES
     ],
 )
-def test_chunks_of_two_lanes_judge_as_the_reference_does(monkeypatch, target, wrong):
+def test_chunks_of_two_lanes_judge_as_the_reference_does(monkeypatch, size, target, wrong):
     if target is not None:
         monkeypatch.setattr(rlseq, "_delete", _one_lane_fault(DELETE, target, wrong))
     expected = _reference_check(7)
@@ -673,9 +682,9 @@ def test_chunks_of_two_lanes_judge_as_the_reference_does(monkeypatch, target, wr
         return insert(mask, start, end, lanes)
 
     monkeypatch.setattr(rlseq, "_insert", counted)
-    monkeypatch.setattr(verify, "_CHUNK_LANES", 2)
+    monkeypatch.setattr(verify, "_CHUNK_LANES", size)
     assert verify.check_bijection(7) == expected
-    assert max(widths) == 2
+    assert max(widths) == size
     if expected.passed:
         # each chunk passes whole, judged by the i and k of its own lane 0,
         # so none is judged again lane by lane
@@ -685,4 +694,4 @@ def test_chunks_of_two_lanes_judge_as_the_reference_does(monkeypatch, target, wr
             for ends in _classes(n)
             for i in range(1, len(ends) + 1)
         }
-        assert len(widths) == sum(-(-len(_block_lanes(n, *b)) // 2) for n, b in blocks)
+        assert len(widths) == sum(-(-len(_block_lanes(n, *b)) // size) for n, b in blocks)
